@@ -7,88 +7,4 @@ characterization, and an independent finite-difference oracle on
 stereographic sphere charts.
 """
 
-from .chart import (
-    FactorChart,
-    FieldSample,
-    OracleComparison,
-    SasakianChartFields,
-    SphereChart,
-    StencilConfig,
-    canonical_sasakian_fields,
-    christoffels_fd,
-    christoffels_first_kind_fd,
-    compare_with_algebraic,
-    embed,
-    embed_jacobian,
-    field_sample,
-    nijenhuis_fd,
-    partial_derivatives,
-    product_field_functions,
-    product_structure_fields,
-    pullback_round_metric,
-    ricci_fd,
-    riemann_fd,
-    sample_chart_points,
-)
-from .einstein import (
-    EinsteinExampleSpec,
-    EinsteinVerdict,
-    StructuralConditions,
-    calabi_eckmann_einstein_example,
-    einstein_verdict,
-    required_eta_einstein_coefficients,
-    star_scalar_prediction,
-)
-from .errors import (
-    ChartDomainError,
-    ConsistencyError,
-    GeometryError,
-    IndefiniteMetricError,
-    InvalidParameterError,
-    MetricError,
-    SingularMetricError,
-)
-from .product import (
-    HermitianParams,
-    ProductHermitianModel,
-    ProductVector,
-    build_nabla_j,
-    build_product_complex_structure,
-    build_product_curvature,
-    build_product_metric,
-    build_product_model,
-    build_product_ricci,
-    build_product_ricci_star,
-    check_integrability,
-    check_not_kahler,
-    check_weakly_star_einstein,
-    integrability_residual,
-    nabla_j_blocks,
-    scalar_curvatures,
-)
-from .sasakian import (
-    EtaEinsteinCoefficients,
-    SasakianIdentityResiduals,
-    SasakianPointModel,
-    classify_eta_einstein,
-    d_homothetic_deform,
-    make_round_sphere_model,
-    make_space_form_model,
-    sasakian_structure_residuals,
-    space_form_ricci_coefficients,
-    space_form_ricci_exact,
-    verify_sasakian_curvature_identities,
-)
-from .tensors import (
-    ALGEBRAIC_TOL,
-    adapted_frame,
-    contract_trace,
-    curvature_symmetry_residuals,
-    orthonormal_frame,
-    raise_index,
-    sectional_curvature,
-    star_ricci_from_curvature,
-    symmetrize,
-)
-
 __version__ = "0.1.0"

@@ -5,10 +5,12 @@ of an odd unit sphere in stereographic coordinates, assembles the
 product Hermitian structure as genuine coordinate fields, and
 differentiates everything with central stencils: Christoffel symbols,
 curvature, the Nijenhuis tensor, and the covariant derivative of the
-complex structure all come out of first principles here, with no input
-from the closed-form engine.  :func:`compare_with_algebraic` transports
-the finite-difference tensors into the structure-adapted frame and
-reports max-norm deviations from the closed-form model.
+complex structure all come out of first principles here.  The only
+input from the closed-form engine is the definition of the structure:
+the block formulas of the product metric and complex structure.
+:func:`compare_with_algebraic` transports the finite-difference tensors
+into the structure-adapted frame and reports max-norm deviations from
+the closed-form model.
 
 Conventions: the ambient complex structure pairs coordinates
 ``(x_0, x_1), (x_2, x_3), ...``; the Reeb field is minus its action on
@@ -27,8 +29,19 @@ from typing import Callable
 import numpy as np
 
 from .errors import ChartDomainError, InvalidParameterError
-from .product import HermitianParams, ProductHermitianModel
-from .tensors import adapted_frame
+from .product import (
+    HermitianParams,
+    ProductHermitianModel,
+    product_complex_structure,
+    product_metric,
+)
+from .tensors import (
+    adapted_frame,
+    change_frame,
+    contract_trace,
+    integrability_residual,
+    star_ricci_from_curvature,
+)
 
 # Numerical domain guard: beyond this radius the conformal factor is so
 # small that stencil arithmetic loses all significant digits.
@@ -266,17 +279,6 @@ class FactorChart:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FieldSample:
-    """Everything the stencils produce for one metric field at one point."""
-
-    coords: np.ndarray
-    metric: np.ndarray
-    metric_derivs: np.ndarray
-    christoffels: np.ndarray
-    curvature: np.ndarray
-
-
 def christoffels_first_kind_fd(
     metric_field: Callable, u: np.ndarray, cfg: StencilConfig
 ) -> np.ndarray:
@@ -314,25 +316,6 @@ def riemann_fd(metric_field: Callable, u: np.ndarray, cfg: StencilConfig) -> np.
     return np.einsum("lm,mijk->ijkl", metric_field(u), r_up)
 
 
-def ricci_fd(metric_field: Callable, u: np.ndarray, cfg: StencilConfig) -> np.ndarray:
-    """Ricci form of a metric field: coordinate trace of :func:`riemann_fd`."""
-    r4 = riemann_fd(metric_field, u, cfg)
-    ginv = np.linalg.inv(metric_field(u))
-    return np.einsum("il,ijkl->jk", ginv, r4)
-
-
-def field_sample(metric_field: Callable, u: np.ndarray, cfg: StencilConfig) -> FieldSample:
-    """Bundle metric, derivatives, symbols, and curvature at one point."""
-    u = np.asarray(u, dtype=float)
-    return FieldSample(
-        coords=u,
-        metric=np.asarray(metric_field(u), dtype=float),
-        metric_derivs=partial_derivatives(metric_field, u, cfg),
-        christoffels=christoffels_fd(metric_field, u, cfg),
-        curvature=riemann_fd(metric_field, u, cfg),
-    )
-
-
 def nijenhuis_fd(j_field: Callable, u: np.ndarray, cfg: StencilConfig) -> np.ndarray:
     """Nijenhuis tensor of an almost complex structure field.
 
@@ -363,47 +346,27 @@ def product_field_functions(
     factor_chart_prime: FactorChart,
     params: HermitianParams,
 ) -> tuple[Callable, Callable]:
-    """Coordinate-field closures ``(g_bar(u), J_bar(u))`` on the product chart."""
+    """Coordinate-field closures ``(g_bar(u), J_bar(u))`` on the product chart.
+
+    Both apply the block formulas of :mod:`sasakiherm.product` to the
+    factor fields at ``u``; nothing else of the closed-form engine
+    enters.
+    """
     m = factor_chart.dim
-    a, b = params.a, params.b
 
     def metric_fn(u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         f1 = factor_chart.fields(u[:m])
         f2 = factor_chart_prime.fields(u[m:])
-        dim = m + factor_chart_prime.dim
-        g_bar = np.zeros((dim, dim))
-        g_bar[:m, :m] = f1.metric
-        g_bar[m:, m:] = f2.metric + (a * a + b * b - 1.0) * np.outer(f2.eta, f2.eta)
-        mixed = a * np.outer(f1.eta, f2.eta)
-        g_bar[:m, m:] = mixed
-        g_bar[m:, :m] = mixed.T
-        return g_bar
+        return product_metric(f1.metric, f1.eta, f2.metric, f2.eta, params)
 
     def j_fn(u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         f1 = factor_chart.fields(u[:m])
         f2 = factor_chart_prime.fields(u[m:])
-        dim = m + factor_chart_prime.dim
-        j = np.zeros((dim, dim))
-        j[:m, :m] = f1.phi - (a / b) * np.outer(f1.xi, f1.eta)
-        j[m:, :m] = (1.0 / b) * np.outer(f2.xi, f1.eta)
-        j[:m, m:] = -((a * a + b * b) / b) * np.outer(f1.xi, f2.eta)
-        j[m:, m:] = f2.phi + (a / b) * np.outer(f2.xi, f2.eta)
-        return j
+        return product_complex_structure(f1.phi, f1.xi, f1.eta, f2.phi, f2.xi, f2.eta, params)
 
     return metric_fn, j_fn
-
-
-def product_structure_fields(
-    factor_chart: FactorChart,
-    factor_chart_prime: FactorChart,
-    params: HermitianParams,
-    coords: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Point values of the product metric and complex structure fields."""
-    metric_fn, j_fn = product_field_functions(factor_chart, factor_chart_prime, params)
-    return metric_fn(coords), j_fn(coords)
 
 
 def sample_chart_points(
@@ -537,8 +500,8 @@ def compare_with_algebraic(
     ginv = np.linalg.inv(g_bar)
 
     r4 = riemann_fd(metric_fn, coords, cfg)
-    ricci = np.einsum("il,ijkl->jk", ginv, r4)
-    ricci_star = np.einsum("kl,mk,ny,xmnl->xy", ginv, j_bar, j_bar, r4)
+    ricci = contract_trace(r4, g_bar, slots=(0, 3))  # Ric(Y, Z) = tr(X -> R(X, Y) Z)
+    ricci_star = star_ricci_from_curvature(r4, j_bar, g_bar)
 
     gamma_first = christoffels_first_kind_fd(metric_fn, coords, cfg)
     gamma = np.einsum("kl,ijl->kij", ginv, gamma_first)
@@ -548,23 +511,16 @@ def compare_with_algebraic(
         + np.einsum("my,xmz->xyz", j_bar, gamma_first)
         - np.einsum("zm,ml,lxy->xyz", g_bar, j_bar, gamma)
     )
-    twisted = np.einsum("ux,vy,uvz->xyz", j_bar, j_bar, nabla_j)
-    integrability = float(np.abs(nabla_j - twisted).max())
 
     frame = _product_adapted_frame(factor_chart, factor_chart_prime, coords)
-    r4_frame = np.einsum("ia,jb,kc,ld,ijkl->abcd", frame, frame, frame, frame, r4)
-    ricci_frame = frame.T @ ricci @ frame
-    ricci_star_frame = frame.T @ ricci_star @ frame
-    nabla_j_frame = np.einsum("ia,jb,kc,ijk->abc", frame, frame, frame, nabla_j)
-
     prediction = _connection_block_prediction(
         factor_chart, factor_chart_prime, params, coords, cfg
     )
     return OracleComparison(
-        riemann=float(np.abs(r4_frame - model.riemann_bar).max()),
-        ricci=float(np.abs(ricci_frame - model.ricci_bar).max()),
-        ricci_star=float(np.abs(ricci_star_frame - model.ricci_star_bar).max()),
+        riemann=float(np.abs(change_frame(frame, r4) - model.riemann_bar).max()),
+        ricci=float(np.abs(change_frame(frame, ricci) - model.ricci_bar).max()),
+        ricci_star=float(np.abs(change_frame(frame, ricci_star) - model.ricci_star_bar).max()),
         connection=float(np.abs(gamma_first - prediction).max()),
-        nabla_j=float(np.abs(nabla_j_frame - model.nabla_j).max()),
-        integrability=integrability,
+        nabla_j=float(np.abs(change_frame(frame, nabla_j) - model.nabla_j).max()),
+        integrability=integrability_residual(nabla_j, j_bar),
     )

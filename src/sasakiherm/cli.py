@@ -61,7 +61,7 @@ from .sasakian import (
     sasakian_structure_residuals,
     verify_sasakian_curvature_identities,
 )
-from .tensors import curvature_symmetry_residuals, star_ricci_from_curvature
+from .tensors import contract_trace, curvature_symmetry_residuals, star_ricci_from_curvature
 
 BOOL_TOL = 0.5  # boolean checks encode pass as residual 0.0, fail as 1.0
 
@@ -273,8 +273,7 @@ def _run_verify_product(args) -> list[CheckRecord]:
             tol,
         )
     )
-    ginv = np.linalg.inv(model.g_bar)
-    ricci_trace = np.einsum("ij,aijb->ab", ginv, model.riemann_bar)
+    ricci_trace = contract_trace(model.riemann_bar, model.g_bar)
     checks.append(
         CheckRecord(
             "ricci_matches_curvature_trace",
@@ -407,6 +406,8 @@ def _run_scan(args) -> list[CheckRecord]:
 
 
 def _run_oracle_compare(args) -> list[CheckRecord]:
+    if args.points < 1:
+        raise InvalidParameterError(f"need at least one sample point, got --points {args.points}")
     factor_chart = FactorChart(SphereChart(2 * args.p + 2), alpha=_factor_alpha(args.factor))
     factor_chart_prime = FactorChart(
         SphereChart(2 * args.q + 2), alpha=_factor_alpha(args.factor_prime)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, InvalidParameterError
 from .product import (
     HermitianParams,
     ProductHermitianModel,
@@ -24,7 +24,7 @@ from .product import (
     build_product_ricci,
 )
 from .sasakian import SasakianPointModel, d_homothetic_deform, make_round_sphere_model
-from .tensors import orthonormal_frame
+from .tensors import contract_trace
 
 
 @dataclass(frozen=True)
@@ -116,10 +116,8 @@ def einstein_verdict(
     """
     g_bar = build_product_metric(factor, factor_prime, params)
     ricci_bar = build_product_ricci(factor, factor_prime, params)
-    dim = g_bar.shape[0]
-    frame = orthonormal_frame(g_bar)
-    tau = float(np.trace(frame.T @ ricci_bar @ frame))
-    fitted = tau / dim
+    tau = float(contract_trace(ricci_bar, g_bar, slots=(0, 1)))
+    fitted = tau / g_bar.shape[0]
     residual = float(np.abs(ricci_bar - fitted * g_bar).max())
     residual_says = residual <= tol
 
@@ -168,6 +166,8 @@ def calabi_eckmann_einstein_example(
     constant ``2 p``; at ``p = q`` it reduces to the Riemannian product
     of round spheres.
     """
+    if p < 1 or q < 1:
+        raise InvalidParameterError(f"need at least one phi-pair, got p={p}, q={q}")
     alpha = q / p
     factor = make_round_sphere_model(p)
     factor_prime = d_homothetic_deform(make_round_sphere_model(q), alpha)

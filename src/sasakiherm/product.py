@@ -22,7 +22,13 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .sasakian import SasakianPointModel
-from .tensors import ALGEBRAIC_TOL, orthonormal_frame, require_spd, symmetrize
+from .tensors import (
+    ALGEBRAIC_TOL,
+    contract_trace,
+    integrability_residual,
+    require_spd,
+    symmetrize,
+)
 
 
 @dataclass(frozen=True)
@@ -41,17 +47,6 @@ class HermitianParams:
             raise InvalidParameterError(
                 "b = 0 degenerates the product metric and leaves the complex structure undefined"
             )
-
-
-@dataclass(frozen=True)
-class ProductVector:
-    """Tangent vector of the product, split into its factor parts."""
-
-    m_part: np.ndarray
-    mprime_part: np.ndarray
-
-    def full(self) -> np.ndarray:
-        return np.concatenate([np.asarray(self.m_part, float), np.asarray(self.mprime_part, float)])
 
 
 @dataclass(frozen=True)
@@ -108,28 +103,68 @@ def _extended(factor: SasakianPointModel, factor_prime: SasakianPointModel):
     return eta, eta_p, g, g_p, gphi, gphi_p
 
 
-def build_product_metric(
-    factor: SasakianPointModel,
-    factor_prime: SasakianPointModel,
+def product_metric(
+    g: np.ndarray,
+    eta: np.ndarray,
+    g_prime: np.ndarray,
+    eta_prime: np.ndarray,
     params: HermitianParams,
 ) -> np.ndarray:
     """Product metric: factor metrics glued along the Reeb directions.
 
     Block form: ``g`` on the first factor, ``g' + (a^2 + b^2 - 1)
     eta' (x) eta'`` on the second, and ``a eta (x) eta'`` across.
-    Positive definite exactly when ``b != 0``.
+    Positive definite exactly when ``b != 0``.  The factor arrays may
+    be adapted-frame model data or chart field values at one point.
     """
     a, b = params.a, params.b
-    m = factor.dim
-    dim = m + factor_prime.dim
+    m = g.shape[0]
+    dim = m + g_prime.shape[0]
     g_bar = np.zeros((dim, dim))
-    g_bar[:m, :m] = factor.g
-    g_bar[m:, m:] = factor_prime.g + (a * a + b * b - 1.0) * np.outer(
-        factor_prime.eta, factor_prime.eta
-    )
-    mixed = a * np.outer(factor.eta, factor_prime.eta)
+    g_bar[:m, :m] = g
+    g_bar[m:, m:] = g_prime + (a * a + b * b - 1.0) * np.outer(eta_prime, eta_prime)
+    mixed = a * np.outer(eta, eta_prime)
     g_bar[:m, m:] = mixed
     g_bar[m:, :m] = mixed.T
+    return g_bar
+
+
+def product_complex_structure(
+    phi: np.ndarray,
+    xi: np.ndarray,
+    eta: np.ndarray,
+    phi_prime: np.ndarray,
+    xi_prime: np.ndarray,
+    eta_prime: np.ndarray,
+    params: HermitianParams,
+) -> np.ndarray:
+    """Compatible complex structure of the product.
+
+    Acts as ``phi`` (resp. ``phi'``) off the Reeb directions and maps
+    the Reeb plane onto itself:
+    ``J X  = phi X  - (a/b) eta(X) xi + (1/b) eta(X) xi'`` and
+    ``J X' = phi' X' - ((a^2+b^2)/b) eta'(X') xi + (a/b) eta'(X') xi'``.
+    Squares to minus the identity for every ``b != 0``.  The factor
+    arrays may be adapted-frame model data or chart field values.
+    """
+    a, b = params.a, params.b
+    m = phi.shape[0]
+    dim = m + phi_prime.shape[0]
+    j = np.zeros((dim, dim))
+    j[:m, :m] = phi - (a / b) * np.outer(xi, eta)
+    j[m:, :m] = (1.0 / b) * np.outer(xi_prime, eta)
+    j[:m, m:] = -((a * a + b * b) / b) * np.outer(xi, eta_prime)
+    j[m:, m:] = phi_prime + (a / b) * np.outer(xi_prime, eta_prime)
+    return j
+
+
+def build_product_metric(
+    factor: SasakianPointModel,
+    factor_prime: SasakianPointModel,
+    params: HermitianParams,
+) -> np.ndarray:
+    """:func:`product_metric` of two factor models, certified positive definite."""
+    g_bar = product_metric(factor.g, factor.eta, factor_prime.g, factor_prime.eta, params)
     require_spd(g_bar, name="product metric")
     return g_bar
 
@@ -139,23 +174,12 @@ def build_product_complex_structure(
     factor_prime: SasakianPointModel,
     params: HermitianParams,
 ) -> np.ndarray:
-    """Compatible complex structure of the product.
-
-    Acts as ``phi`` (resp. ``phi'``) off the Reeb directions and maps
-    the Reeb plane onto itself:
-    ``J X  = phi X  - (a/b) eta(X) xi + (1/b) eta(X) xi'`` and
-    ``J X' = phi' X' - ((a^2+b^2)/b) eta'(X') xi + (a/b) eta'(X') xi'``.
-    Squares to minus the identity for every ``b != 0``.
-    """
-    a, b = params.a, params.b
-    m = factor.dim
-    dim = m + factor_prime.dim
-    j = np.zeros((dim, dim))
-    j[:m, :m] = factor.phi - (a / b) * np.outer(factor.xi, factor.eta)
-    j[m:, :m] = (1.0 / b) * np.outer(factor_prime.xi, factor.eta)
-    j[:m, m:] = -((a * a + b * b) / b) * np.outer(factor.xi, factor_prime.eta)
-    j[m:, m:] = factor_prime.phi + (a / b) * np.outer(factor_prime.xi, factor_prime.eta)
-    return j
+    """:func:`product_complex_structure` of two factor models."""
+    return product_complex_structure(
+        factor.phi, factor.xi, factor.eta,
+        factor_prime.phi, factor_prime.xi, factor_prime.eta,
+        params,
+    )
 
 
 def build_nabla_j(
@@ -197,19 +221,6 @@ def build_nabla_j(
         - b * np.einsum("y,xz->xyz", eta, gphi_p)
     )
     return t
-
-
-def nabla_j_blocks(
-    model: ProductHermitianModel,
-    xbar: ProductVector,
-    ybar: ProductVector,
-    zbar: ProductVector,
-) -> float:
-    """Evaluate ``g_bar((nabla_X J) Y, Z)`` on product vectors."""
-    x, y, z = xbar.full(), ybar.full(), zbar.full()
-    if not (x.size == y.size == z.size == model.dim):
-        raise InvalidParameterError("product vector parts do not match the factor dimensions")
-    return float(np.einsum("xyz,x,y,z->", model.nabla_j, x, y, z))
 
 
 _SYMMETRY_OPS = (
@@ -371,9 +382,8 @@ def build_product_model(
 ) -> ProductHermitianModel:
     """Assemble every closed-form tensor of the product structure.
 
-    Scalar curvatures are traced in the adapted orthonormal basis
-    produced by Gram-Schmidt on the product metric (the factor bases
-    together with the normalized combination of the Reeb vectors).
+    Scalar curvatures are the metric traces of the Ricci and
+    star-Ricci forms.
     """
     g_bar = build_product_metric(factor, factor_prime, params)
     j_bar = build_product_complex_structure(factor, factor_prime, params)
@@ -381,9 +391,8 @@ def build_product_model(
     riemann_bar = build_product_curvature(factor, factor_prime, params)
     ricci_bar = build_product_ricci(factor, factor_prime, params)
     ricci_star_bar = build_product_ricci_star(factor, factor_prime, params)
-    frame = orthonormal_frame(g_bar)
-    tau_bar = float(np.trace(frame.T @ ricci_bar @ frame))
-    tau_star_bar = float(np.trace(frame.T @ ricci_star_bar @ frame))
+    tau_bar = float(contract_trace(ricci_bar, g_bar, slots=(0, 1)))
+    tau_star_bar = float(contract_trace(ricci_star_bar, g_bar, slots=(0, 1)))
     return ProductHermitianModel(
         factor=factor,
         factor_prime=factor_prime,
@@ -402,18 +411,6 @@ def build_product_model(
 def scalar_curvatures(model: ProductHermitianModel) -> tuple[float, float]:
     """Scalar and star-scalar curvature of a product model."""
     return model.tau_bar, model.tau_star_bar
-
-
-def integrability_residual(nabla_j: np.ndarray, j_bar: np.ndarray) -> float:
-    """Max violation of the integrability identity.
-
-    An almost complex structure on a Riemannian manifold is integrable
-    exactly when ``g((nabla_X J) Y, Z) = g((nabla_{JX} J) JY, Z)`` for
-    all arguments; this returns the largest deviation over all basis
-    triples.
-    """
-    twisted = np.einsum("ux,vy,uvz->xyz", j_bar, j_bar, nabla_j)
-    return float(np.abs(nabla_j - twisted).max())
 
 
 def check_integrability(model: ProductHermitianModel) -> float:

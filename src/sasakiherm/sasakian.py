@@ -367,7 +367,7 @@ def verify_sasakian_curvature_identities(
     tr2 = np.einsum("xyab,ai,bi->xy", riemann, frame, phi_frame)
     phi_pair_trace = float(np.abs(tr2 - pair_target).max())
 
-    tr3 = np.einsum("xmab,my,ai,bi->xy", riemann, phi, frame, phi_frame)
+    tr3 = np.einsum("xmab,my,ai,bi->xy", riemann, phi, frame, phi_frame, optimize=True)
     target = -2.0 * ricci + 2.0 * (2 * n - 1) * g + 2.0 * np.outer(eta, eta)
     shifted_phi_pair_trace = float(np.abs(tr3 - target).max())
 
@@ -409,9 +409,7 @@ def sasakian_structure_residuals(model: SasakianPointModel) -> dict[str, float]:
         np.abs(ricci - contract_trace(riemann, g)).max()
     )
     out.update(curvature_symmetry_residuals(riemann))
-    scalar_from_ricci = float(np.einsum("ij,ij->", np.linalg.inv(g), ricci))
-    scalar_from_riemann = float(
-        np.einsum("ij,ij->", np.linalg.inv(g), contract_trace(riemann, g))
-    )
+    scalar_from_ricci = float(contract_trace(ricci, g, slots=(0, 1)))
+    scalar_from_riemann = float(contract_trace(contract_trace(riemann, g), g, slots=(0, 1)))
     out["scalar_curvature_trace_consistency"] = abs(scalar_from_ricci - scalar_from_riemann)
     return out

@@ -46,26 +46,42 @@ def require_spd(metric: np.ndarray, name: str = "metric") -> None:
 def contract_trace(
     tensor: np.ndarray, metric: np.ndarray, slots: tuple[int, int] = (1, 2)
 ) -> np.ndarray:
-    """Metric trace of a rank-4 tensor over two of its slots.
+    """Metric trace of a rank-2 or rank-4 tensor over two of its slots.
 
     Equivalent to feeding both named slots the vectors of any
-    ``metric``-orthonormal frame and summing; the remaining two slots
-    keep their original order.  The default ``slots=(1, 2)`` turns a
-    curvature tensor into its Ricci form.
+    ``metric``-orthonormal frame and summing; the remaining slots keep
+    their original order.  The default ``slots=(1, 2)`` turns a
+    curvature tensor into its Ricci form; a bilinear form takes
+    ``slots=(0, 1)`` and traces to the scalar ``<metric^-1, form>``.
     """
     t = np.asarray(tensor, dtype=float)
-    if t.ndim != 4:
-        raise ValueError(f"expected a rank-4 tensor, got ndim={t.ndim}")
+    if t.ndim not in (2, 4):
+        raise ValueError(f"expected a rank-2 or rank-4 tensor, got ndim={t.ndim}")
     i, j = slots
-    if i == j or not all(0 <= k < 4 for k in (i, j)):
-        raise ValueError(f"slots must be two distinct indices in 0..3, got {slots}")
+    if i == j or not all(0 <= k < t.ndim for k in (i, j)):
+        raise ValueError(f"slots must be two distinct indices in 0..{t.ndim - 1}, got {slots}")
     require_spd(metric)
     ginv = np.linalg.inv(metric)
-    subs = list("abcd")
+    subs = list("abcd"[: t.ndim])
     subs[i] = "i"
     subs[j] = "j"
     out = "".join(s for s in subs if s not in "ij")
     return np.einsum(f"ij,{''.join(subs)}->{out}", ginv, t)
+
+
+def change_frame(frame: np.ndarray, tensor: np.ndarray) -> np.ndarray:
+    """Fully covariant tensor evaluated on the columns of ``frame``.
+
+    Returns ``T(F e_a, F e_b, ...)`` for a tensor of any rank, the same
+    as one multi-operand einsum with ``frame`` on every index, but
+    contracted one index at a time, so the cost stays ``O(n^(rank + 1))``.
+    """
+    out = np.asarray(tensor, dtype=float)
+    for _ in range(out.ndim):
+        # contracting the leading axis appends the new one, so after
+        # ``ndim`` steps every index is transformed and back in place
+        out = np.tensordot(out, frame, axes=([0], [0]))
+    return out
 
 
 def orthonormal_frame(metric: np.ndarray) -> np.ndarray:
@@ -144,13 +160,6 @@ def adapted_frame(metric: np.ndarray, phi: np.ndarray, xi: np.ndarray) -> np.nda
     return np.column_stack(cols)
 
 
-def raise_index(form: np.ndarray, metric: np.ndarray) -> np.ndarray:
-    """Endomorphism ``Q`` with ``metric(Q X, Y) = form(X, Y)`` for all X, Y."""
-    require_spd(metric)
-    f = np.asarray(form, dtype=float)
-    return np.linalg.solve(metric, f.T)
-
-
 def curvature_symmetry_residuals(tensor: np.ndarray) -> dict[str, float]:
     """Max-norm residuals of the four algebraic curvature symmetries.
 
@@ -180,6 +189,18 @@ def star_ricci_from_curvature(
     require_spd(metric)
     ginv = np.linalg.inv(metric)
     return np.einsum("kl,mk,ny,xmnl->xy", ginv, j, j, tensor)
+
+
+def integrability_residual(nabla_j: np.ndarray, j_bar: np.ndarray) -> float:
+    """Max violation of the integrability identity.
+
+    An almost complex structure on a Riemannian manifold is integrable
+    exactly when ``g((nabla_X J) Y, Z) = g((nabla_{JX} J) JY, Z)`` for
+    all arguments; this returns the largest deviation over all basis
+    triples.
+    """
+    twisted = np.einsum("ux,vy,uvz->xyz", j_bar, j_bar, nabla_j)
+    return float(np.abs(nabla_j - twisted).max())
 
 
 def sectional_curvature(

@@ -223,6 +223,19 @@ class TestExitCodes:
         assert code == 2
         assert "positive" in err
 
+    @pytest.mark.parametrize("flag", ["--p", "--q"])
+    def test_example_without_phi_pairs_is_usage_error(self, capsys, flag):
+        code, _, err = run_cli(["example", flag, "0"], capsys)
+        assert code == 2
+        assert "need at least one phi-pair" in err
+
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_oracle_compare_without_points_is_usage_error(self, capsys, points):
+        code, out, err = run_cli(["oracle-compare", "--points", points], capsys)
+        assert code == 2
+        assert out == ""
+        assert "need at least one sample point" in err
+
     def test_unwritable_output_path(self, capsys, tmp_path):
         target = tmp_path / "missing" / "report.json"
         code, _, err = run_cli(

@@ -7,7 +7,6 @@ import pytest
 from sasakiherm.errors import InvalidParameterError
 from sasakiherm.product import (
     HermitianParams,
-    ProductVector,
     build_nabla_j,
     build_product_complex_structure,
     build_product_curvature,
@@ -19,7 +18,6 @@ from sasakiherm.product import (
     check_not_kahler,
     check_weakly_star_einstein,
     integrability_residual,
-    nabla_j_blocks,
     scalar_curvatures,
 )
 from sasakiherm.sasakian import make_round_sphere_model
@@ -112,11 +110,10 @@ class TestNablaJ:
     def test_first_factor_block(self):
         factor, factor_prime = spheres(1, 1)
         model = build_product_model(factor, factor_prime, HermitianParams(0.5, 1.5))
-        e1 = ProductVector(np.array([1.0, 0, 0]), np.zeros(3))
-        xi = ProductVector(np.array([0.0, 0, 1.0]), np.zeros(3))
+        e1, xi = 0, 2
         # g((nabla_X J)Y, Z) = eta(Z) g(X,Y) - eta(Y) g(X,Z) on the first factor
-        assert nabla_j_blocks(model, e1, e1, e1) == pytest.approx(0.0, abs=0)
-        assert nabla_j_blocks(model, e1, e1, xi) == pytest.approx(1.0, abs=0)
+        assert model.nabla_j[e1, e1, e1] == pytest.approx(0.0, abs=0)
+        assert model.nabla_j[e1, e1, xi] == pytest.approx(1.0, abs=0)
 
     def test_mixed_derivative_block_vanishes(self):
         factor, factor_prime = spheres(1, 2)
@@ -129,9 +126,8 @@ class TestNablaJ:
         factor, factor_prime = spheres(1, 1)
         a, b = 0.7, 1.2
         model = build_product_model(factor, factor_prime, HermitianParams(a, b))
-        e1p = ProductVector(np.zeros(3), np.array([1.0, 0, 0]))
-        xip = ProductVector(np.zeros(3), np.array([0.0, 0, 1.0]))
-        assert nabla_j_blocks(model, e1p, e1p, xip) == pytest.approx(a * a + b * b, abs=1e-14)
+        e1p, xip = 3, 5
+        assert model.nabla_j[e1p, e1p, xip] == pytest.approx(a * a + b * b, abs=1e-14)
 
     def test_antisymmetric_in_last_two_slots(self):
         factor, factor_prime = spheres(2, 1)

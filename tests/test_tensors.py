@@ -1,4 +1,4 @@
-"""Pointwise tensor algebra: traces, frames, index raising, symmetry checks."""
+"""Pointwise tensor algebra: traces, frames, frame changes, symmetry checks."""
 
 import numpy as np
 import numpy.testing as npt
@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from sasakiherm.errors import MetricError, SingularMetricError
 from sasakiherm.tensors import (
     adapted_frame,
+    change_frame,
     contract_trace,
     curvature_symmetry_residuals,
     orthonormal_frame,
-    raise_index,
     sectional_curvature,
     star_ricci_from_curvature,
 )
@@ -76,6 +76,19 @@ class TestContractTrace:
         with pytest.raises(ValueError):
             contract_trace(np.zeros((3,) * 4), np.eye(3), slots=(1, 1))
 
+    def test_rank_two_trace_is_inverse_metric_pairing(self, rng):
+        g = random_spd(rng, 5)
+        form = random_spd(rng, 5, scale=0.3)
+        frame = orthonormal_frame(g)
+        npt.assert_allclose(contract_trace(g, g, slots=(0, 1)), 5.0, atol=1e-12)
+        npt.assert_allclose(
+            contract_trace(form, g, slots=(0, 1)), np.trace(frame.T @ form @ frame), atol=1e-12
+        )
+
+    def test_rank_two_rejects_slots_past_its_rank(self):
+        with pytest.raises(ValueError):
+            contract_trace(np.eye(3), np.eye(3))
+
 
 class TestOrthonormalFrame:
     def test_identity_metric_gives_standard_basis(self):
@@ -112,36 +125,19 @@ class TestOrthonormalFrame:
             orthonormal_frame(np.ones((2, 2)))
 
 
-class TestRaiseIndex:
-    def test_metric_raises_to_identity(self, rng):
-        g = random_spd(rng, 4)
-        npt.assert_allclose(raise_index(g, g), np.eye(4), atol=1e-12)
-
-    def test_transverse_projector_eigenvalues(self):
-        # rho* of the Riemannian product case restricted to one factor is
-        # g - eta (x) eta; raised against the identity metric its spectrum
-        # is {1, 1, 0} (oracle: eigen-decomposition)
-        g = np.eye(3)
-        eta = np.array([0.0, 0.0, 1.0])
-        form = g - np.outer(eta, eta)
-        q = raise_index(form, g)
-        npt.assert_allclose(np.sort(np.linalg.eigvalsh(0.5 * (q + q.T))), [0.0, 1.0, 1.0], atol=1e-13)
-
-    def test_trace_equals_metric_trace_of_form(self, rng):
-        g = random_spd(rng, 5)
-        form = random_spd(rng, 5, scale=0.3)
-        q = raise_index(form, g)
-        npt.assert_allclose(np.trace(q), np.einsum("ij,ij->", np.linalg.inv(g), form), atol=1e-12)
-
-    def test_defining_property(self, rng):
-        g = random_spd(rng, 4)
-        form = rng.normal(size=(4, 4))
-        q = raise_index(form, g)
-        npt.assert_allclose(q.T @ g, form, atol=1e-12)
-
-    def test_singular_metric_rejected(self):
-        with pytest.raises(MetricError):
-            raise_index(np.eye(2), np.zeros((2, 2)))
+class TestChangeFrame:
+    @pytest.mark.parametrize(
+        "subscripts",
+        ["ia,jb,ij->ab", "ia,jb,kc,ijk->abc", "ia,jb,kc,ld,ijkl->abcd"],
+        ids=["rank2", "rank3", "rank4"],
+    )
+    def test_matches_multi_operand_einsum(self, rng, subscripts):
+        n = 5
+        rank = subscripts.count(",")
+        frame = rng.normal(size=(n, n))
+        tensor = rng.normal(size=(n,) * rank)
+        expected = np.einsum(subscripts, *([frame] * rank), tensor)
+        npt.assert_allclose(change_frame(frame, tensor), expected, atol=1e-12)
 
 
 class TestAdaptedFrame:
