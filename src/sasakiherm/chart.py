@@ -7,10 +7,11 @@ differentiates everything with central stencils: Christoffel symbols,
 curvature, the Nijenhuis tensor, and the covariant derivative of the
 complex structure all come out of first principles here.  The only
 input from the closed-form engine is the definition of the structure:
-the block formulas of the product metric and complex structure.
-:func:`compare_with_algebraic` transports the finite-difference tensors
-into the structure-adapted frame and reports max-norm deviations from
-the closed-form model.
+the block formulas of the product metric and complex structure, and the
+D-homothetic deformation of the factor metric, Reeb field and contact
+form.  :func:`compare_with_algebraic` transports the finite-difference
+tensors into the structure-adapted frame and reports max-norm
+deviations from the closed-form model.
 
 Conventions: the ambient complex structure pairs coordinates
 ``(x_0, x_1), (x_2, x_3), ...``; the Reeb field is minus its action on
@@ -35,6 +36,7 @@ from .product import (
     product_complex_structure,
     product_metric,
 )
+from .sasakian import d_homothetic_structure
 from .tensors import (
     adapted_frame,
     change_frame,
@@ -214,17 +216,19 @@ def canonical_sasakian_fields(chart: SphereChart, u: np.ndarray) -> SasakianChar
     The Reeb field is minus the ambient complex structure applied to
     the position; ``phi`` is the tangential projection of the ambient
     complex structure; ``eta`` is the metric dual of the Reeb field.
+    The round metric is ``scale * I``, so raising an index divides by
+    ``scale``.
     """
     u = _check_coords(chart, u)
     x = embed(chart, u)
     jac = embed_jacobian(chart, u)
     metric = pullback_round_metric(chart, u)
+    scale = metric[0, 0]
     j0 = _ambient_complex_structure(chart.ambient_dim)
     xi_ambient = -(j0 @ x)
     eta = jac.T @ xi_ambient
-    xi = np.linalg.solve(metric, eta)
-    phi = np.linalg.solve(metric, jac.T @ (j0 @ jac))
-    return SasakianChartFields(metric=metric, xi=xi, eta=eta, phi=phi)
+    phi = jac.T @ (j0 @ jac) / scale
+    return SasakianChartFields(metric=metric, xi=eta / scale, eta=eta, phi=phi)
 
 
 @dataclass(frozen=True)
@@ -233,7 +237,8 @@ class FactorChart:
 
     ``alpha = 1`` is the round structure; other values produce the
     Sasakian space form with ``c = 4 / alpha - 3`` as honest coordinate
-    fields, deformed pointwise from the canonical ones.
+    fields, deformed pointwise from the canonical ones by
+    :func:`sasakiherm.sasakian.d_homothetic_structure`.
     """
 
     chart: SphereChart
@@ -249,26 +254,12 @@ class FactorChart:
 
     def fields(self, u: np.ndarray) -> SasakianChartFields:
         raw = canonical_sasakian_fields(self.chart, u)
-        if self.alpha == 1.0:
-            return raw
-        a = self.alpha
-        metric = a * raw.metric + a * (a - 1.0) * np.outer(raw.eta, raw.eta)
-        return SasakianChartFields(
-            metric=metric, xi=raw.xi / a, eta=a * raw.eta, phi=raw.phi
-        )
+        metric, xi, eta = d_homothetic_structure(raw.metric, raw.xi, raw.eta, self.alpha)
+        return SasakianChartFields(metric=metric, xi=xi, eta=eta, phi=raw.phi)
 
     def metric_at(self, u: np.ndarray) -> np.ndarray:
-        """Metric field value without the phi/xi solves (stencil fast path)."""
-        u = _check_coords(self.chart, u)
-        metric = pullback_round_metric(self.chart, u)
-        if self.alpha == 1.0:
-            return metric
-        x = embed(self.chart, u)
-        jac = embed_jacobian(self.chart, u)
-        j0 = _ambient_complex_structure(self.chart.ambient_dim)
-        eta = jac.T @ (-(j0 @ x))
-        a = self.alpha
-        return a * metric + a * (a - 1.0) * np.outer(eta, eta)
+        """Metric field value at a chart point."""
+        return self.fields(u).metric
 
     def metric_field(self) -> Callable[[np.ndarray], np.ndarray]:
         return self.metric_at

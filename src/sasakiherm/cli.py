@@ -61,7 +61,12 @@ from .sasakian import (
     sasakian_structure_residuals,
     verify_sasakian_curvature_identities,
 )
-from .tensors import contract_trace, curvature_symmetry_residuals, star_ricci_from_curvature
+from .tensors import (
+    ALGEBRAIC_TOL,
+    contract_trace,
+    curvature_symmetry_residuals,
+    star_ricci_from_curvature,
+)
 
 BOOL_TOL = 0.5  # boolean checks encode pass as residual 0.0, fail as 1.0
 
@@ -485,7 +490,7 @@ def _add_common(parser: argparse.ArgumentParser, with_params: bool = True) -> No
     parser.add_argument("--factor", default="round",
                         help="round | space-form:<c> | deformed:<alpha>")
     parser.add_argument("--factor-prime", default="round", dest="factor_prime")
-    parser.add_argument("--tol-algebraic", type=float, default=1e-12, dest="tol_algebraic")
+    parser.add_argument("--tol-algebraic", type=float, default=ALGEBRAIC_TOL, dest="tol_algebraic")
     parser.add_argument("--tol-fd", type=float, default=1e-4, dest="tol_fd")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")

@@ -24,7 +24,7 @@ from .product import (
     build_product_ricci,
 )
 from .sasakian import SasakianPointModel, d_homothetic_deform, make_round_sphere_model
-from .tensors import contract_trace
+from .tensors import ALGEBRAIC_TOL, contract_trace
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ def einstein_verdict(
     factor: SasakianPointModel,
     factor_prime: SasakianPointModel,
     params: HermitianParams,
-    tol: float = 1e-12,
+    tol: float = ALGEBRAIC_TOL,
 ) -> EinsteinVerdict:
     """Decide the Einstein condition along both routes and cross-check.
 

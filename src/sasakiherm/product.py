@@ -191,43 +191,20 @@ def build_nabla_j(
 
     Returns ``T[x, y, z] = g_bar((nabla_x J) y, z)`` assembled from the
     factor-wise block formulas, extended to arbitrary arguments by
-    multilinearity.  The blocks with both derivative direction and
-    first argument in one factor but last argument in the other are
-    fixed by antisymmetry of ``nabla J`` in its last two slots (a
-    consequence of metric compatibility).
+    multilinearity.  ``nabla J`` is antisymmetric in its last two slots
+    (a consequence of metric compatibility), so one term of each block
+    is stated and the rest is its image under that antisymmetry.
     """
     a, b = params.a, params.b
-    ab2 = a * a + b * b
     eta, eta_p, g, g_p, gphi, gphi_p = _extended(factor, factor_prime)
-    eta_outer = np.outer(eta, eta)
-
-    t = np.einsum("z,xy->xyz", eta, g) - np.einsum("y,xz->xyz", eta, g)
-    t += b * np.einsum("y,xz->xyz", eta_p, gphi) - a * np.einsum(
-        "y,xz->xyz", eta_p, g - eta_outer
+    g_trans = g - np.outer(eta, eta)
+    g_trans_p = g_p - np.outer(eta_p, eta_p)
+    h = (
+        np.einsum("xy,z->xyz", g + a * g_trans_p + b * gphi_p, eta)
+        + np.einsum("xz,y->xyz", b * gphi - a * g_trans, eta_p)
+        + (a * a + b * b) * np.einsum("xy,z->xyz", g_p, eta_p)
     )
-    t += (
-        -a * np.einsum("z,x,y->xyz", eta, eta_p, eta_p)
-        + a * np.einsum("z,xy->xyz", eta, g_p)
-        + b * np.einsum("z,xy->xyz", eta, gphi_p)
-    )
-    t += ab2 * (np.einsum("xy,z->xyz", g_p, eta_p) - np.einsum("xz,y->xyz", g_p, eta_p))
-    # images of the two stated mixed blocks under antisymmetry in (y, z)
-    t += -b * np.einsum("z,xy->xyz", eta_p, gphi) + a * np.einsum(
-        "z,xy->xyz", eta_p, g - eta_outer
-    )
-    t += (
-        a * np.einsum("y,x,z->xyz", eta, eta_p, eta_p)
-        - a * np.einsum("y,xz->xyz", eta, g_p)
-        - b * np.einsum("y,xz->xyz", eta, gphi_p)
-    )
-    return t
-
-
-_SYMMETRY_OPS = (
-    ("yxzw->xyzw", -1.0, (1, 0, 2, 3)),
-    ("xywz->xyzw", -1.0, (0, 1, 3, 2)),
-    ("zwxy->xyzw", 1.0, (2, 3, 0, 1)),
-)
+    return h - h.transpose(0, 2, 1)
 
 
 def build_product_curvature(
@@ -237,18 +214,18 @@ def build_product_curvature(
 ) -> np.ndarray:
     """Fully covariant curvature tensor of the product metric.
 
-    Seven argument patterns carry explicit closed-form blocks; the
-    remaining nine are generated from them by the curvature symmetries
-    (antisymmetry in each index pair, symmetry under pair exchange).
-    The factor curvatures enter only through the diagonal blocks and
-    the Reeb contraction of the first factor's curvature.
+    The curvature symmetries (antisymmetry in each index pair, symmetry
+    under pair exchange, and their products) split the sixteen argument
+    patterns into six orbits.  One closed-form block is stated per
+    orbit and written together with all its images.  The factor
+    curvatures enter only through the two diagonal blocks.
     """
     a, b = params.a, params.b
     ab2 = a * a + b * b
     k = ab2 - 1.0
     m, mp = factor.dim, factor_prime.dim
     dim = m + mp
-    g, phi, xi, eta, r_m = factor.g, factor.phi, factor.xi, factor.eta, factor.riemann
+    g, phi, eta, r_m = factor.g, factor.phi, factor.eta, factor.riemann
     g_p, phi_p, eta_p, r_p = (
         factor_prime.g, factor_prime.phi, factor_prime.eta, factor_prime.riemann,
     )
@@ -256,15 +233,24 @@ def build_product_curvature(
     gphi_p = phi_p.T @ g_p
     g_trans = g - np.outer(eta, eta)
     g_trans_p = g_p - np.outer(eta_p, eta_p)
-    r_m_reeb = np.einsum("xyzw,w->xyz", r_m, xi)  # eta(R(X, Y) Z)
 
     slices = (slice(0, m), slice(m, dim))
     riemann = np.zeros((dim, dim, dim, dim))
-    known: set[tuple[int, int, int, int]] = set()
 
     def place(pattern: tuple[int, int, int, int], block: np.ndarray) -> None:
-        riemann[slices[pattern[0]], slices[pattern[1]], slices[pattern[2]], slices[pattern[3]]] = block
-        known.add(pattern)
+        # a swap inside either pair flips the sign, exchanging the pairs
+        # keeps it; an image landing on a pattern already written equals
+        # what is there by the block's own symmetry, so it is skipped
+        written = set()
+        for sign_1, first in ((1.0, (0, 1)), (-1.0, (1, 0))):
+            for sign_2, second in ((1.0, (2, 3)), (-1.0, (3, 2))):
+                for axes in (first + second, second + first):
+                    target = tuple(pattern[i] for i in axes)
+                    if target not in written:
+                        written.add(target)
+                        riemann[tuple(slices[i] for i in target)] = (
+                            sign_1 * sign_2 * block.transpose(axes)
+                        )
 
     place((0, 0, 0, 0), r_m)
     place(
@@ -285,40 +271,18 @@ def build_product_curvature(
             - np.einsum("w,y,xz->xyzw", eta, eta_p, g_p)
         ),
     )
-    place((0, 0, 0, 1), a * np.einsum("xyz,w->xyzw", r_m_reeb, eta_p))
     reeb_square = (
         np.einsum("x,w,yz->xyzw", eta_p, eta_p, g_p)
         - np.einsum("y,w,xz->xyzw", eta_p, eta_p, g_p)
         - np.einsum("x,z,yw->xyzw", eta_p, eta_p, g_p)
         + np.einsum("y,z,xw->xyzw", eta_p, eta_p, g_p)
     )
-    reeb_square_rev = (
-        np.einsum("x,z,yw->xyzw", eta_p, eta_p, g_p)
-        - np.einsum("y,z,xw->xyzw", eta_p, eta_p, g_p)
-        + np.einsum("y,w,xz->xyzw", eta_p, eta_p, g_p)
-        - np.einsum("x,w,yz->xyzw", eta_p, eta_p, g_p)
-    )
     phi_square = (
         2.0 * np.einsum("xy,zw->xyzw", gphi_p, gphi_p)
         + np.einsum("xz,yw->xyzw", gphi_p, gphi_p)
         - np.einsum("yz,xw->xyzw", gphi_p, gphi_p)
     )
-    place((1, 1, 1, 1), r_p + 2.0 * k * reeb_square - k * k * reeb_square_rev + k * phi_square)
-
-    # complete the remaining argument patterns from the curvature symmetries
-    while len(known) < 16:
-        progressed = False
-        for pattern in sorted(known):
-            source = riemann[
-                slices[pattern[0]], slices[pattern[1]], slices[pattern[2]], slices[pattern[3]]
-            ]
-            for subscript, sign, perm in _SYMMETRY_OPS:
-                target = tuple(pattern[i] for i in perm)
-                if target not in known:
-                    place(target, sign * np.einsum(subscript, source))
-                    progressed = True
-        if not progressed:
-            raise RuntimeError("curvature block completion stalled")
+    place((1, 1, 1, 1), r_p + k * (k + 2.0) * reeb_square + k * phi_square)
     return riemann
 
 

@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .tensors import (
-    ALGEBRAIC_TOL,
     adapted_frame,
     contract_trace,
     curvature_symmetry_residuals,
@@ -151,44 +150,29 @@ def _space_form_curvature(g, phi, eta, c) -> np.ndarray:
     return coeff_round * gg + coeff_phi * (ee + pp)
 
 
-def _assemble(n: int, riemann: np.ndarray) -> SasakianPointModel:
-    dim = 2 * n + 1
-    g = np.eye(dim)
-    eta = np.zeros(dim)
-    eta[-1] = 1.0
-    ricci = symmetrize(contract_trace(riemann, g))
-    return SasakianPointModel(
-        n=n, g=g, phi=_pairwise_rotation(n), xi=eta.copy(), eta=eta,
-        riemann=riemann, ricci=ricci,
-    )
-
-
 def make_round_sphere_model(p: int) -> SasakianPointModel:
     """Unit odd sphere of dimension ``2 p + 1`` with its canonical Sasakian structure.
 
-    Constant sectional curvature one: R(X,Y,Z,W) = g(Y,Z)g(X,W) - g(X,Z)g(Y,W).
+    Constant sectional curvature one: R(X,Y,Z,W) = g(Y,Z)g(X,W) - g(X,Z)g(Y,W),
+    which is the space form at ``c = 1``.
     """
-    if p < 1:
-        raise InvalidParameterError(f"need at least one phi-pair, got p={p}")
-    dim = 2 * p + 1
-    g = np.eye(dim)
-    riemann = np.einsum("yz,xw->xyzw", g, g) - np.einsum("xz,yw->xyzw", g, g)
-    return _assemble(p, riemann)
+    return make_space_form_model(p, 1.0)
 
 
 def make_space_form_model(q: int, c: float) -> SasakianPointModel:
-    """Sasakian space form of constant phi-holomorphic sectional curvature ``c``.
-
-    At ``c = 1`` this coincides exactly with the round sphere model.
-    """
+    """Sasakian space form of constant phi-holomorphic sectional curvature ``c``."""
     if q < 1:
-        raise InvalidParameterError(f"need at least one phi-pair, got q={q}")
+        raise InvalidParameterError(f"need at least one phi-pair, got {q}")
     dim = 2 * q + 1
     g = np.eye(dim)
+    phi = _pairwise_rotation(q)
     eta = np.zeros(dim)
     eta[-1] = 1.0
-    riemann = _space_form_curvature(g, _pairwise_rotation(q), eta, float(c))
-    return _assemble(q, riemann)
+    riemann = _space_form_curvature(g, phi, eta, float(c))
+    return SasakianPointModel(
+        n=q, g=g, phi=phi, xi=eta.copy(), eta=eta,
+        riemann=riemann, ricci=symmetrize(contract_trace(riemann, g)),
+    )
 
 
 def space_form_ricci_coefficients(q, c):
@@ -254,17 +238,27 @@ def space_form_ricci_exact(q: int, c: Fraction) -> tuple[Fraction, Fraction]:
     return g_coeff, eta_coeff
 
 
+def d_homothetic_structure(
+    g: np.ndarray, xi: np.ndarray, eta: np.ndarray, alpha: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """D-homothetic deformation of a metric, Reeb field and contact form.
+
+    Returns ``(alpha g + alpha (alpha - 1) eta (x) eta, xi / alpha,
+    alpha eta)``; ``phi`` is unchanged.  The arrays may be adapted-frame
+    model data or chart field values at one point.
+    """
+    return alpha * g + alpha * (alpha - 1.0) * np.outer(eta, eta), xi / alpha, alpha * eta
+
+
 def d_homothetic_deform(model: SasakianPointModel, alpha: float) -> SasakianPointModel:
     """Apply a D-homothetic deformation and return the deformed model.
 
-    The structure tensors transform as ``eta -> alpha eta``,
-    ``xi -> xi / alpha``, ``phi -> phi``,
-    ``g -> alpha g + alpha (alpha - 1) eta (x) eta``.  The curvature of
-    the deformed metric follows pointwise from the connection shift
-    ``nabla' = nabla - (alpha - 1) (eta (x) phi + phi (x) eta)``, which
-    is valid on any Sasakian structure; everything is then re-expressed
-    in a new adapted orthonormal frame so the output satisfies the same
-    frame conventions as the constructors.
+    The structure tensors transform by :func:`d_homothetic_structure`.
+    The curvature of the deformed metric follows pointwise from the
+    connection shift ``nabla' = nabla - (alpha - 1) (eta (x) phi + phi (x) eta)``,
+    which is valid on any Sasakian structure; everything is then
+    re-expressed in a new adapted orthonormal frame so the output
+    satisfies the same frame conventions as the constructors.
     """
     if alpha <= 0.0:
         raise InvalidParameterError(f"deformation parameter must be positive, got {alpha}")
@@ -273,10 +267,7 @@ def d_homothetic_deform(model: SasakianPointModel, alpha: float) -> SasakianPoin
     dim = model.dim
     ident = np.eye(dim)
     gphi = phi.T @ g
-
-    g_new = alpha * g + alpha * (alpha - 1.0) * np.outer(eta, eta)
-    xi_new = xi / alpha
-    eta_new = alpha * eta
+    g_new, xi_new, eta_new = d_homothetic_structure(g, xi, eta, alpha)
 
     r13 = np.einsum("xyzw,wm->xyzm", riemann, np.linalg.inv(g))
     shift1 = (
@@ -308,15 +299,13 @@ def d_homothetic_deform(model: SasakianPointModel, alpha: float) -> SasakianPoin
     )
 
 
-def classify_eta_einstein(
-    model: SasakianPointModel, tol: float = ALGEBRAIC_TOL
-) -> EtaEinsteinCoefficients:
+def classify_eta_einstein(model: SasakianPointModel) -> EtaEinsteinCoefficients:
     """Fit ``ricci = A g + B eta (x) eta`` and report the deviation.
 
     The metric coefficient is read off the first basis vector orthogonal
     to ``xi``; the residual covers both off-ansatz entries and any
-    variation of the diagonal across the remaining directions, so a fit
-    worse than ``tol`` is signaled by the residual, never an exception.
+    variation of the diagonal across the remaining directions, so a poor
+    fit is signaled by the residual, never an exception.
     """
     ricci, g, eta = model.ricci, model.g, model.eta
     g_coeff = float(ricci[0, 0] / g[0, 0])

@@ -88,29 +88,19 @@ def orthonormal_frame(metric: np.ndarray) -> np.ndarray:
     """Gram-Schmidt the standard basis into a metric-orthonormal frame.
 
     Returns a matrix ``F`` whose columns are the frame vectors, so that
-    ``F.T @ metric @ F`` is the identity.  Raises if the metric is not
-    symmetric positive definite (Gram-Schmidt certifies definiteness on
-    the way: every pivot norm must be strictly positive).
+    ``F.T @ metric @ F`` is the identity.  Raises through
+    :func:`require_spd` unless the metric is symmetric positive definite.
     """
+    require_spd(metric)
     g = np.asarray(metric, dtype=float)
     n = g.shape[0]
-    if g.shape != (n, n):
-        raise SingularMetricError(f"metric must be square, got shape {g.shape}")
-    if not np.allclose(g, g.T, rtol=0.0, atol=1e-10 * max(1.0, np.abs(g).max())):
-        raise SingularMetricError("metric is not symmetric")
-    scale = max(1.0, float(np.abs(g).max()))
     cols = []
     for k in range(n):
         v = np.zeros(n)
         v[k] = 1.0
         for w in cols:
             v = v - (w @ g @ v) * w
-        norm2 = float(v @ g @ v)
-        if norm2 < -1e-10 * scale:
-            raise IndefiniteMetricError(f"metric is indefinite (pivot {k} has norm^2 {norm2:g})")
-        if norm2 <= 1e-13 * scale:
-            raise SingularMetricError(f"metric is singular (pivot {k} has norm^2 {norm2:g})")
-        cols.append(v / np.sqrt(norm2))
+        cols.append(v / np.sqrt(float(v @ g @ v)))
     return np.column_stack(cols)
 
 

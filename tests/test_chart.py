@@ -6,6 +6,7 @@ import pytest
 
 import sasakiherm.chart
 import sasakiherm.product
+import sasakiherm.sasakian
 from sasakiherm.chart import (
     FactorChart,
     SphereChart,
@@ -28,6 +29,7 @@ from sasakiherm.errors import ChartDomainError, InvalidParameterError
 from sasakiherm.product import HermitianParams, build_product_model
 from sasakiherm.sasakian import (
     SasakianPointModel,
+    d_homothetic_deform,
     make_round_sphere_model,
     verify_sasakian_curvature_identities,
 )
@@ -171,6 +173,27 @@ class TestCanonicalFields:
             nabla_xi = np.einsum("im->mi", dxi) + np.einsum("mil,l->mi", gamma, f.xi)
             npt.assert_allclose(nabla_xi, -f.phi, atol=1e-6)
             npt.assert_allclose(f.phi @ f.phi, -np.eye(3) + np.outer(f.xi, f.eta), atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "pole,direction",
+        [(None, 1), (None, -1), ("rotated", 1), ("rotated", -1)],
+        ids=["pole", "antipodal", "rotated", "rotated-antipodal"],
+    )
+    def test_raised_indices_match_metric_solves(self, rng, pole, direction):
+        # the round metric is conformally flat, so xi and phi come out of a
+        # division; a general linear solve against the metric is the reference
+        if pole == "rotated":
+            pole = rng.normal(size=6)
+            pole /= np.linalg.norm(pole)
+        chart = SphereChart(6, pole=pole, direction=direction)
+        j0 = np.kron(np.eye(3), [[0.0, -1.0], [1.0, 0.0]])  # pairs (x_0, x_1), ...
+        for point in sample_chart_points(rng, 5, count=10):
+            f = canonical_sasakian_fields(chart, point)
+            jac = embed_jacobian(chart, point)
+            npt.assert_allclose(f.xi, np.linalg.solve(f.metric, f.eta), rtol=1e-14, atol=0)
+            npt.assert_allclose(
+                f.phi, np.linalg.solve(f.metric, jac.T @ j0 @ jac), rtol=1e-14, atol=1e-15
+            )
 
     def test_eta_derivative_identity(self, rng):
         # (nabla_X eta)(Y) = -g(phi X, Y)
@@ -344,11 +367,14 @@ class TestCompareWithAlgebraic:
             "build_product_ricci",
             "build_product_ricci_star",
             "build_product_model",
+            "d_homothetic_deform",
         ],
     )
     def test_oracle_binds_no_closed_form_tensor(self, builder):
-        # the oracle is only evidence while it derives these tensors itself
-        closed_form = getattr(sasakiherm.product, builder)
+        # the oracle is only evidence while it derives these tensors itself;
+        # it may share the deformation of (g, xi, eta), not the deformed curvature
+        module = sasakiherm.sasakian if builder == "d_homothetic_deform" else sasakiherm.product
+        closed_form = getattr(module, builder)
         assert not hasattr(sasakiherm.chart, builder)
         assert all(value is not closed_form for value in vars(sasakiherm.chart).values())
 
@@ -380,6 +406,25 @@ class TestCompareWithAlgebraic:
         assert comparison.connection <= 1e-5
         assert comparison.riemann <= 1e-4
         assert comparison.integrability <= 1e-5
+
+    def test_deformed_first_factor_with_coupling(self, rng):
+        # the Reeb-coupled curvature blocks, e.g. pattern (X, Y, Z, W'), seen
+        # by the stencils on a first factor that is not a round sphere
+        alpha = 0.5
+        fc1 = FactorChart(SphereChart(4), alpha=alpha)
+        fc2 = FactorChart(SphereChart(4))
+        params = HermitianParams(0.5, 1.0)
+        model = build_product_model(
+            d_homothetic_deform(make_round_sphere_model(1), alpha),
+            make_round_sphere_model(1),
+            params,
+        )
+        point = sample_chart_points(rng, 6, count=1)[0]
+        comparison = compare_with_algebraic(fc1, fc2, params, model, point, CFG)
+        assert comparison.riemann <= 1e-4
+        assert comparison.ricci <= 1e-4
+        assert comparison.connection <= 1e-5
+        assert comparison.nabla_j <= 1e-5
 
     def test_einstein_example_with_deformed_factor(self, rng):
         spec, model = calabi_eckmann_einstein_example(2, 1)

@@ -4,6 +4,8 @@ import csv
 import io
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,17 @@ from sasakiherm.cli import (
     run,
 )
 from sasakiherm.errors import InvalidParameterError
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_cli_commands():
+    """The ``sasakiherm`` commands of the README's command-line block, as argv lists."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Command-line interface", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("sasakiherm ")]
 
 
 def run_cli(argv, capsys):
@@ -293,3 +306,17 @@ def test_run_returns_report_object():
     assert report.all_passed
     assert report.config["command"] == "einstein"
     assert report.wall_time_ms >= 0.0
+
+
+def test_readme_commands_exit_as_documented(tmp_path, capsys):
+    # the scan runs over non-Einstein cells, so its einstein check exits 1
+    commands = readme_cli_commands()
+    assert {argv[0] for argv in commands} == {
+        "einstein", "verify-factor", "verify-product", "scan", "oracle-compare", "example",
+    }
+    for argv in commands:
+        if "--out" in argv:
+            index = argv.index("--out") + 1
+            argv[index] = str(tmp_path / argv[index])
+        expected = 1 if argv[0] == "scan" and "einstein" in argv else 0
+        assert run_cli(argv, capsys)[0] == expected, argv

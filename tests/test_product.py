@@ -20,7 +20,7 @@ from sasakiherm.product import (
     integrability_residual,
     scalar_curvatures,
 )
-from sasakiherm.sasakian import make_round_sphere_model
+from sasakiherm.sasakian import d_homothetic_deform, make_round_sphere_model, make_space_form_model
 from sasakiherm.tensors import (
     contract_trace,
     curvature_symmetry_residuals,
@@ -30,8 +30,20 @@ from sasakiherm.tensors import (
 PARAM_GRID = [(0.0, 1.0), (0.5, 1.0), (0.0, 1.5), (-0.7, 1.3), (1.5, -2.0), (2.0, 0.5)]
 
 
+FIRST_FACTORS = {
+    "round": make_round_sphere_model,
+    "deformed:0.5": lambda p: d_homothetic_deform(make_round_sphere_model(p), 0.5),
+    "space-form:5": lambda p: make_space_form_model(p, 5.0),
+}
+
+
 def spheres(p, q):
     return make_round_sphere_model(p), make_round_sphere_model(q)
+
+
+def curvature_trace_case(first, p, q, a, b):
+    prefix = "" if first == "round" else f"{first}-"
+    return pytest.param(first, p, q, a, b, id=f"{prefix}{p}-{q}-{a}-{b}")
 
 
 def test_b_zero_rejected():
@@ -214,10 +226,24 @@ class TestProductRicci:
         # 2a (p + q (a^2 + b^2)) with p=2, q=1, a=b=1
         assert ricci[4, 7] == pytest.approx(8.0, abs=0)
 
-    @pytest.mark.parametrize("a,b", PARAM_GRID)
-    @pytest.mark.parametrize("p,q", [(1, 1), (2, 1), (1, 2)])
-    def test_matches_curvature_trace(self, p, q, a, b):
-        factor, factor_prime = spheres(p, q)
+    @pytest.mark.parametrize(
+        "first,p,q,a,b",
+        [
+            curvature_trace_case("round", p, q, a, b)
+            for p, q in [(1, 1), (2, 1), (1, 2)]
+            for a, b in PARAM_GRID
+        ]
+        + [
+            # with a != 0 the Reeb-coupled blocks must agree with the first
+            # factor's curvature also when that factor is not a round sphere
+            curvature_trace_case(first, p, q, a, b)
+            for first in ("deformed:0.5", "space-form:5")
+            for p, q in [(1, 1), (2, 1)]
+            for a, b in [(0.5, 1.0), (-0.7, 1.3), (2.0, 0.5)]
+        ],
+    )
+    def test_matches_curvature_trace(self, first, p, q, a, b):
+        factor, factor_prime = FIRST_FACTORS[first](p), make_round_sphere_model(q)
         params = HermitianParams(a, b)
         g_bar = build_product_metric(factor, factor_prime, params)
         riemann = build_product_curvature(factor, factor_prime, params)
