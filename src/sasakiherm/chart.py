@@ -24,7 +24,7 @@ for commuting fields, under which the contact identity
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -57,24 +57,18 @@ _MAX_CHART_RADIUS = 1.0e6
 
 @dataclass(frozen=True)
 class StencilConfig:
-    """Central-difference configuration for all field derivatives."""
+    """Step of the one stencil used for every field derivative."""
 
     step: float = 1e-3
-    order: int = 4
-    richardson: bool = True
 
     def __post_init__(self):
         if self.step <= 0.0:
             raise InvalidParameterError(f"stencil step must be positive, got {self.step}")
-        if self.order not in (2, 4):
-            raise InvalidParameterError(f"stencil order must be 2 or 4, got {self.order}")
 
 
-def _central(f: Callable, u: np.ndarray, axis: int, h: float, order: int) -> np.ndarray:
+def _central(f: Callable, u: np.ndarray, axis: int, h: float) -> np.ndarray:
     e = np.zeros_like(u)
     e[axis] = h
-    if order == 2:
-        return (np.asarray(f(u + e)) - np.asarray(f(u - e))) / (2.0 * h)
     return (
         -np.asarray(f(u + 2.0 * e))
         + 8.0 * np.asarray(f(u + e))
@@ -86,21 +80,17 @@ def _central(f: Callable, u: np.ndarray, axis: int, h: float, order: int) -> np.
 def partial_derivatives(f: Callable, u: np.ndarray, cfg: StencilConfig) -> np.ndarray:
     """All first partials of an array-valued field.
 
-    Returns ``out[i] = d f / d u_i``; with ``richardson`` the stencil is
-    evaluated at ``h`` and ``h/2`` and extrapolated one order higher.
+    Returns ``out[i] = d f / d u_i``: the order-4 central stencil at
+    ``h`` and ``h/2``, Richardson-extrapolated one order higher.  The
+    field is never evaluated at ``u`` itself.
     """
     u = np.asarray(u, dtype=float)
-    f0 = np.asarray(f(u))
-    out = np.zeros((u.size,) + f0.shape)
-    gain = 2.0 ** cfg.order
-    for i in range(u.size):
-        d1 = _central(f, u, i, cfg.step, cfg.order)
-        if cfg.richardson:
-            d2 = _central(f, u, i, cfg.step / 2.0, cfg.order)
-            out[i] = (gain * d2 - d1) / (gain - 1.0)
-        else:
-            out[i] = d1
-    return out
+    return np.stack(
+        [
+            (16.0 * _central(f, u, i, cfg.step / 2.0) - _central(f, u, i, cfg.step)) / 15.0
+            for i in range(u.size)
+        ]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -115,27 +105,39 @@ class SphereChart:
     ``pole`` (default: the last coordinate axis) is where the chart
     origin lands; ``direction=-1`` picks the antipodal chart.  The
     chart covers the whole sphere except the point opposite the origin
-    image, which sits at infinite chart radius.
+    image, which sits at infinite chart radius.  ``rotation`` (the
+    Householder map sending the last axis to the pole) and ``j0`` (the
+    ambient complex structure) are fixed per chart.
     """
 
     ambient_dim: int
     pole: np.ndarray | None = None
     direction: int = 1
+    rotation: np.ndarray = field(init=False, repr=False, compare=False)
+    j0: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.ambient_dim % 2 != 0 or self.ambient_dim < 4:
-            raise InvalidParameterError(
-                f"ambient dimension must be even and >= 4, got {self.ambient_dim}"
-            )
+        n = self.ambient_dim
+        if n % 2 != 0 or n < 4:
+            raise InvalidParameterError(f"ambient dimension must be even and >= 4, got {n}")
         if self.direction not in (1, -1):
             raise InvalidParameterError(f"direction must be +1 or -1, got {self.direction}")
+        rotation = np.eye(n)
         if self.pole is not None:
             pole = np.asarray(self.pole, dtype=float)
-            if pole.shape != (self.ambient_dim,) or abs(pole @ pole - 1.0) > 1e-12:
+            if pole.shape != (n,) or abs(pole @ pole - 1.0) > 1e-12:
                 raise InvalidParameterError("pole must be a unit ambient vector")
             pole = np.ascontiguousarray(pole)
             pole.setflags(write=False)
             object.__setattr__(self, "pole", pole)
+            v = np.eye(n)[-1] - pole
+            vv = float(v @ v)
+            if vv >= 1e-30:
+                rotation = rotation - 2.0 * np.outer(v, v) / vv
+        j0 = np.kron(np.eye(n // 2), [[0.0, -1.0], [1.0, 0.0]])  # pairs (x_0, x_1), ...
+        for name, value in (("rotation", rotation), ("j0", j0)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
@@ -151,53 +153,33 @@ def _check_coords(chart: SphereChart, u: np.ndarray) -> np.ndarray:
     return u
 
 
-def _ambient_rotation(chart: SphereChart) -> np.ndarray:
-    """Orthogonal map sending the last axis to the chart pole (Householder)."""
-    n = chart.ambient_dim
-    if chart.pole is None:
-        return np.eye(n)
-    last = np.zeros(n)
-    last[-1] = 1.0
-    v = last - chart.pole
-    vv = float(v @ v)
-    if vv < 1e-30:
-        return np.eye(n)
-    return np.eye(n) - 2.0 * np.outer(v, v) / vv
-
-
-def embed(chart: SphereChart, u: np.ndarray) -> np.ndarray:
-    """Chart point mapped onto the unit sphere in ambient coordinates."""
-    u = _check_coords(chart, u)
-    r2 = float(u @ u)
-    raw = np.concatenate([2.0 * u, [chart.direction * (1.0 - r2)]]) / (1.0 + r2)
-    return _ambient_rotation(chart) @ raw
-
-
-def embed_jacobian(chart: SphereChart, u: np.ndarray) -> np.ndarray:
-    """Analytic Jacobian of :func:`embed`, shape (ambient_dim, dim)."""
+def _stereographic(chart: SphereChart, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Sphere point, Jacobian and conformal factor ``2 / (1 + |u|^2)`` at ``u``."""
     u = _check_coords(chart, u)
     n = chart.dim
     r2 = float(u @ u)
     s = 1.0 + r2
+    raw = np.concatenate([2.0 * u, [chart.direction * (1.0 - r2)]]) / s
     jac = np.zeros((n + 1, n))
     jac[:n, :] = 2.0 * np.eye(n) / s - 4.0 * np.outer(u, u) / s**2
     jac[n, :] = -4.0 * chart.direction * u / s**2
-    return _ambient_rotation(chart) @ jac
+    return chart.rotation @ raw, chart.rotation @ jac, 2.0 / s
+
+
+def embed(chart: SphereChart, u: np.ndarray) -> np.ndarray:
+    """Chart point mapped onto the unit sphere in ambient coordinates."""
+    return _stereographic(chart, u)[0]
+
+
+def embed_jacobian(chart: SphereChart, u: np.ndarray) -> np.ndarray:
+    """Analytic Jacobian of :func:`embed`, shape (ambient_dim, dim)."""
+    return _stereographic(chart, u)[1]
 
 
 def pullback_round_metric(chart: SphereChart, u: np.ndarray) -> np.ndarray:
     """Round metric in stereographic coordinates: ``(2 / (1 + |u|^2))^2 I``."""
-    u = _check_coords(chart, u)
-    factor = 2.0 / (1.0 + float(u @ u))
+    factor = _stereographic(chart, u)[2]
     return factor * factor * np.eye(chart.dim)
-
-
-def _ambient_complex_structure(ambient_dim: int) -> np.ndarray:
-    j0 = np.zeros((ambient_dim, ambient_dim))
-    for k in range(ambient_dim // 2):
-        j0[2 * k + 1, 2 * k] = 1.0
-        j0[2 * k, 2 * k + 1] = -1.0
-    return j0
 
 
 @dataclass(frozen=True)
@@ -219,16 +201,11 @@ def canonical_sasakian_fields(chart: SphereChart, u: np.ndarray) -> SasakianChar
     The round metric is ``scale * I``, so raising an index divides by
     ``scale``.
     """
-    u = _check_coords(chart, u)
-    x = embed(chart, u)
-    jac = embed_jacobian(chart, u)
-    metric = pullback_round_metric(chart, u)
-    scale = metric[0, 0]
-    j0 = _ambient_complex_structure(chart.ambient_dim)
-    xi_ambient = -(j0 @ x)
-    eta = jac.T @ xi_ambient
-    phi = jac.T @ (j0 @ jac) / scale
-    return SasakianChartFields(metric=metric, xi=eta / scale, eta=eta, phi=phi)
+    x, jac, factor = _stereographic(chart, u)
+    scale = factor * factor
+    eta = jac.T @ -(chart.j0 @ x)
+    phi = jac.T @ (chart.j0 @ jac) / scale
+    return SasakianChartFields(metric=scale * np.eye(chart.dim), xi=eta / scale, eta=eta, phi=phi)
 
 
 @dataclass(frozen=True)
@@ -317,8 +294,11 @@ def nijenhuis_fd(j_field: Callable, u: np.ndarray, cfg: StencilConfig) -> np.nda
     Vanishing of the result (to stencil accuracy) certifies
     integrability from first principles.
     """
-    j = np.asarray(j_field(u), dtype=float)
-    dj = partial_derivatives(j_field, u, cfg)  # [d, m, j] = d_d J^m_j
+    return _nijenhuis(np.asarray(j_field(u), dtype=float), partial_derivatives(j_field, u, cfg))
+
+
+def _nijenhuis(j: np.ndarray, dj: np.ndarray) -> np.ndarray:
+    """Nijenhuis tensor from ``J`` and its partials ``dj[d, m, j] = d_d J^m_j``."""
     return (
         np.einsum("ki,kmj->mij", j, dj)
         - np.einsum("kj,kmi->mij", j, dj)
@@ -381,8 +361,8 @@ class OracleComparison:
 
     Curvature-level quantities (``riemann``, ``ricci``, ``ricci_star``)
     carry two stencil applications; the connection blocks, the covariant
-    derivative of the complex structure, and the integrability residual
-    carry one.
+    derivative of the complex structure, the integrability residual and
+    the largest Nijenhuis entry carry one.
     """
 
     riemann: float
@@ -391,37 +371,24 @@ class OracleComparison:
     connection: float
     nabla_j: float
     integrability: float
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "riemann": self.riemann,
-            "ricci": self.ricci,
-            "ricci_star": self.ricci_star,
-            "connection": self.connection,
-            "nabla_j": self.nabla_j,
-            "integrability": self.integrability,
-        }
+    nijenhuis: float
 
 
-def _product_adapted_frame(
-    factor_chart: FactorChart, factor_chart_prime: FactorChart, coords: np.ndarray
-) -> np.ndarray:
+def _product_adapted_frame(f1: SasakianChartFields, f2: SasakianChartFields) -> np.ndarray:
     """Block frame matching the closed-form basis ordering at a chart point."""
-    m = factor_chart.dim
-    f1 = factor_chart.fields(coords[:m])
-    f2 = factor_chart_prime.fields(coords[m:])
-    frame1 = adapted_frame(f1.metric, f1.phi, f1.xi)
-    frame2 = adapted_frame(f2.metric, f2.phi, f2.xi)
-    dim = m + factor_chart_prime.dim
+    m = f1.metric.shape[0]
+    dim = m + f2.metric.shape[0]
     frame = np.zeros((dim, dim))
-    frame[:m, :m] = frame1
-    frame[m:, m:] = frame2
+    frame[:m, :m] = adapted_frame(f1.metric, f1.phi, f1.xi)
+    frame[m:, m:] = adapted_frame(f2.metric, f2.phi, f2.xi)
     return frame
 
 
 def _connection_block_prediction(
     factor_chart: FactorChart,
     factor_chart_prime: FactorChart,
+    f1: SasakianChartFields,
+    f2: SasakianChartFields,
     params: HermitianParams,
     coords: np.ndarray,
     cfg: StencilConfig,
@@ -438,8 +405,6 @@ def _connection_block_prediction(
     m = factor_chart.dim
     mp = factor_chart_prime.dim
     dim = m + mp
-    f1 = factor_chart.fields(coords[:m])
-    f2 = factor_chart_prime.fields(coords[m:])
     gamma1 = christoffels_first_kind_fd(factor_chart.metric_field(), coords[:m], cfg)
     gamma2 = christoffels_first_kind_fd(factor_chart_prime.metric_field(), coords[m:], cfg)
     # eta(nabla_X Y) = xi^k Gamma_{ij,k}
@@ -480,14 +445,18 @@ def compare_with_algebraic(
     complex structure are transported into the structure-adapted frame
     at the chart point, where homogeneity makes them directly
     comparable entry-by-entry with the closed-form tensors.  Connection
-    blocks and the integrability residual are checked in coordinates.
+    blocks, the integrability residual and the Nijenhuis tensor are
+    checked in coordinates; the last two share one stencil of ``J_bar``
+    with ``nabla J``.
     """
     cfg = cfg or StencilConfig()
     coords = np.asarray(coords, dtype=float)
     metric_fn, j_fn = product_field_functions(factor_chart, factor_chart_prime, params)
-
-    g_bar = metric_fn(coords)
-    j_bar = j_fn(coords)
+    m = factor_chart.dim
+    f1 = factor_chart.fields(coords[:m])
+    f2 = factor_chart_prime.fields(coords[m:])
+    g_bar = product_metric(f1.metric, f1.eta, f2.metric, f2.eta, params)
+    j_bar = product_complex_structure(f1.phi, f1.xi, f1.eta, f2.phi, f2.xi, f2.eta, params)
     ginv = np.linalg.inv(g_bar)
 
     r4 = riemann_fd(metric_fn, coords, cfg)
@@ -503,9 +472,9 @@ def compare_with_algebraic(
         - np.einsum("zm,ml,lxy->xyz", g_bar, j_bar, gamma)
     )
 
-    frame = _product_adapted_frame(factor_chart, factor_chart_prime, coords)
+    frame = _product_adapted_frame(f1, f2)
     prediction = _connection_block_prediction(
-        factor_chart, factor_chart_prime, params, coords, cfg
+        factor_chart, factor_chart_prime, f1, f2, params, coords, cfg
     )
     return OracleComparison(
         riemann=float(np.abs(change_frame(frame, r4) - model.riemann_bar).max()),
@@ -514,4 +483,5 @@ def compare_with_algebraic(
         connection=float(np.abs(gamma_first - prediction).max()),
         nabla_j=float(np.abs(change_frame(frame, nabla_j) - model.nabla_j).max()),
         integrability=integrability_residual(nabla_j, j_bar),
+        nijenhuis=float(np.abs(_nijenhuis(j_bar, dj)).max()),
     )

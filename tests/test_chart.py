@@ -41,8 +41,6 @@ CFG = StencilConfig()
 def test_stencil_config_validation():
     with pytest.raises(InvalidParameterError):
         StencilConfig(step=0.0)
-    with pytest.raises(InvalidParameterError):
-        StencilConfig(order=3)
 
 
 def test_partial_derivatives_on_polynomial():
@@ -85,6 +83,27 @@ class TestSphereChart:
             embed(chart, np.array([np.nan, 0.0, 0.0]))
         with pytest.raises(ChartDomainError):
             pullback_round_metric(chart, np.full(3, 1.0e7))
+
+    @pytest.mark.parametrize(
+        "factor_point,product_point",
+        [
+            ([np.nan, 0.0, 0.0], [0.1, 0.1, 0.1, np.nan, 0.0, 0.0]),
+            ([1.0e7, 0.0, 0.0], [0.1, 0.1, 0.1, 1.0e7, 0.0, 0.0]),
+            (np.zeros(2), np.zeros(5)),
+            (np.zeros((3, 1)), np.zeros((6, 1))),
+        ],
+        ids=["nan", "beyond-radius", "short", "column"],
+    )
+    def test_field_paths_reject_bad_coordinates(self, factor_point, product_point):
+        # the factor fields and both product closures validate through the
+        # one stereographic map
+        fc = FactorChart(SphereChart(4), alpha=0.5)
+        metric_fn, j_fn = product_field_functions(fc, fc, HermitianParams(0.5, 1.0))
+        for evaluate, point in (
+            (fc.fields, factor_point), (metric_fn, product_point), (j_fn, product_point)
+        ):
+            with pytest.raises(ChartDomainError):
+                evaluate(point)
 
 
 class TestPullbackMetric:
@@ -190,6 +209,8 @@ class TestCanonicalFields:
         for point in sample_chart_points(rng, 5, count=10):
             f = canonical_sasakian_fields(chart, point)
             jac = embed_jacobian(chart, point)
+            # eta against the test's own J0 guards the chart's fixed rotation and J0
+            npt.assert_allclose(f.eta, -jac.T @ j0 @ embed(chart, point), rtol=1e-14, atol=1e-15)
             npt.assert_allclose(f.xi, np.linalg.solve(f.metric, f.eta), rtol=1e-14, atol=0)
             npt.assert_allclose(
                 f.phi, np.linalg.solve(f.metric, jac.T @ j0 @ jac), rtol=1e-14, atol=1e-15
@@ -425,6 +446,10 @@ class TestCompareWithAlgebraic:
         assert comparison.ricci <= 1e-4
         assert comparison.connection <= 1e-5
         assert comparison.nabla_j <= 1e-5
+        # read off the J_bar stencil taken for nabla J, equal to its own stencil
+        _, j_fn = product_field_functions(fc1, fc2, params)
+        assert comparison.nijenhuis == np.abs(nijenhuis_fd(j_fn, point, CFG)).max()
+        assert comparison.nijenhuis <= 1e-5
 
     def test_einstein_example_with_deformed_factor(self, rng):
         spec, model = calabi_eckmann_einstein_example(2, 1)
