@@ -62,8 +62,8 @@ class StencilConfig:
     step: float = 1e-3
 
     def __post_init__(self):
-        if self.step <= 0.0:
-            raise InvalidParameterError(f"stencil step must be positive, got {self.step}")
+        if not (np.isfinite(self.step) and self.step > 0.0):
+            raise InvalidParameterError(f"stencil step must be positive and finite, got {self.step}")
 
 
 def _central(f: Callable, u: np.ndarray, axis: int, h: float) -> np.ndarray:
@@ -91,6 +91,48 @@ def partial_derivatives(f: Callable, u: np.ndarray, cfg: StencilConfig) -> np.nd
             for i in range(u.size)
         ]
     )
+
+
+_CENTRAL_WEIGHTS = ((2, -1.0), (1, 8.0), (-1, -8.0), (-2, 1.0))  # over 12 h
+
+
+def _central_pair(f: Callable, u: np.ndarray, i: int, j: int, h: float) -> np.ndarray:
+    """The order-4 central stencil along ``u_i`` applied to the one along ``u_j``.
+
+    For ``i == j`` the tensor product places several weights on the same
+    point; each distinct point is evaluated once.
+    """
+    weights: dict[tuple[int, int], float] = {}
+    for a, wa in _CENTRAL_WEIGHTS:
+        for b, wb in _CENTRAL_WEIGHTS:
+            key = (a + b, 0) if i == j else (a, b)
+            weights[key] = weights.get(key, 0.0) + wa * wb
+    total = 0.0
+    for (a, b), w in weights.items():
+        step = np.zeros_like(u)
+        step[i] += a * h
+        step[j] += b * h
+        total = total + w * np.asarray(f(u + step))
+    return total / (144.0 * h * h)
+
+
+def second_partial_derivatives(f: Callable, u: np.ndarray, cfg: StencilConfig) -> np.ndarray:
+    """All second partials of an array-valued field.
+
+    Returns ``out[i, j] = d^2 f / du_i du_j``: one tensor-product stencil
+    per unordered pair ``i <= j`` at ``h`` and ``h/2``, Richardson-
+    extrapolated like :func:`partial_derivatives`.
+    """
+    u = np.asarray(u, dtype=float)
+    n = u.size
+    out: list[list] = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            out[i][j] = out[j][i] = (
+                16.0 * _central_pair(f, u, i, j, cfg.step / 2.0)
+                - _central_pair(f, u, i, j, cfg.step)
+            ) / 15.0
+    return np.array(out)
 
 
 # ---------------------------------------------------------------------------
@@ -171,17 +213,6 @@ def embed(chart: SphereChart, u: np.ndarray) -> np.ndarray:
     return _stereographic(chart, u)[0]
 
 
-def embed_jacobian(chart: SphereChart, u: np.ndarray) -> np.ndarray:
-    """Analytic Jacobian of :func:`embed`, shape (ambient_dim, dim)."""
-    return _stereographic(chart, u)[1]
-
-
-def pullback_round_metric(chart: SphereChart, u: np.ndarray) -> np.ndarray:
-    """Round metric in stereographic coordinates: ``(2 / (1 + |u|^2))^2 I``."""
-    factor = _stereographic(chart, u)[2]
-    return factor * factor * np.eye(chart.dim)
-
-
 @dataclass(frozen=True)
 class SasakianChartFields:
     """Pointwise Sasakian data in chart coordinates."""
@@ -247,14 +278,16 @@ class FactorChart:
 # ---------------------------------------------------------------------------
 
 
+def _first_kind(dg: np.ndarray) -> np.ndarray:
+    """``Gamma_{ij,k} = (d_i g_jk + d_j g_ik - d_k g_ij) / 2`` on the last three axes."""
+    return 0.5 * (dg + np.einsum("...jik->...ijk", dg) - np.einsum("...kij->...ijk", dg))
+
+
 def christoffels_first_kind_fd(
     metric_field: Callable, u: np.ndarray, cfg: StencilConfig
 ) -> np.ndarray:
-    """``Gamma_{ij,k} = (d_i g_jk + d_j g_ik - d_k g_ij) / 2`` by stencils."""
-    dg = partial_derivatives(metric_field, u, cfg)
-    return 0.5 * (
-        np.einsum("ijk->ijk", dg) + np.einsum("jik->ijk", dg) - np.einsum("kij->ijk", dg)
-    )
+    """First-kind symbols ``Gamma_{ij,k}`` from a stencil of the metric."""
+    return _first_kind(partial_derivatives(metric_field, u, cfg))
 
 
 def christoffels_fd(metric_field: Callable, u: np.ndarray, cfg: StencilConfig) -> np.ndarray:
@@ -264,24 +297,43 @@ def christoffels_fd(metric_field: Callable, u: np.ndarray, cfg: StencilConfig) -
     return np.einsum("kl,ijl->kij", ginv, first)
 
 
-def riemann_fd(metric_field: Callable, u: np.ndarray, cfg: StencilConfig) -> np.ndarray:
-    """Fully covariant curvature of a metric field by nested stencils.
+def _riemann_from_jet(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> np.ndarray:
+    """Covariant curvature from the metric's 2-jet at a point.
 
-    Returns ``R[i, j, k, l] = g(R(d_i, d_j) d_k, d_l)`` in the package
-    sign convention; the unit sphere comes out with sectional curvature
-    plus one.
+    ``dg[d, i, j] = d_d g_ij`` and ``ddg[c, d, i, j] = d_c d_d g_ij``; the
+    derivative of the second-kind symbols uses
+    ``d g^-1 = -g^-1 (d g) g^-1``.
     """
-    u = np.asarray(u, dtype=float)
-    gamma_field = lambda v: christoffels_fd(metric_field, v, cfg)
-    gamma = gamma_field(u)
-    dgamma = partial_derivatives(gamma_field, u, cfg)  # [d, m, j, k] = d_d Gamma^m_{jk}
+    ginv = np.linalg.inv(g)
+    first = _first_kind(dg)
+    gamma = np.einsum("kl,ijl->kij", ginv, first)
+    dginv = -np.einsum("ma,dab,bl->dml", ginv, dg, ginv, optimize=True)
+    dgamma = (  # [d, m, j, k] = d_d Gamma^m_{jk}
+        np.einsum("dml,jkl->dmjk", dginv, first)
+        + np.einsum("ml,djkl->dmjk", ginv, _first_kind(ddg))
+    )
     r_up = (
         np.einsum("imjk->mijk", dgamma)
         - np.einsum("jmik->mijk", dgamma)
         + np.einsum("mil,ljk->mijk", gamma, gamma)
         - np.einsum("mjl,lik->mijk", gamma, gamma)
     )
-    return np.einsum("lm,mijk->ijkl", metric_field(u), r_up)
+    return np.einsum("lm,mijk->ijkl", g, r_up)
+
+
+def riemann_fd(metric_field: Callable, u: np.ndarray, cfg: StencilConfig) -> np.ndarray:
+    """Fully covariant curvature of a metric field from its stencil 2-jet.
+
+    Returns ``R[i, j, k, l] = g(R(d_i, d_j) d_k, d_l)`` in the package
+    sign convention; the unit sphere comes out with sectional curvature
+    plus one.
+    """
+    u = np.asarray(u, dtype=float)
+    return _riemann_from_jet(
+        np.asarray(metric_field(u), dtype=float),
+        partial_derivatives(metric_field, u, cfg),
+        second_partial_derivatives(metric_field, u, cfg),
+    )
 
 
 def nijenhuis_fd(j_field: Callable, u: np.ndarray, cfg: StencilConfig) -> np.ndarray:
@@ -360,9 +412,10 @@ class OracleComparison:
     """Max-norm deviations between stencil tensors and the closed-form model.
 
     Curvature-level quantities (``riemann``, ``ricci``, ``ricci_star``)
-    carry two stencil applications; the connection blocks, the covariant
-    derivative of the complex structure, the integrability residual and
-    the largest Nijenhuis entry carry one.
+    come from second-derivative stencils of the metric; the connection
+    blocks, the covariant derivative of the complex structure, the
+    integrability residual and the largest Nijenhuis entry from
+    first-derivative ones.
     """
 
     riemann: float
@@ -459,11 +512,12 @@ def compare_with_algebraic(
     j_bar = product_complex_structure(f1.phi, f1.xi, f1.eta, f2.phi, f2.xi, f2.eta, params)
     ginv = np.linalg.inv(g_bar)
 
-    r4 = riemann_fd(metric_fn, coords, cfg)
+    dg = partial_derivatives(metric_fn, coords, cfg)
+    r4 = _riemann_from_jet(g_bar, dg, second_partial_derivatives(metric_fn, coords, cfg))
     ricci = contract_trace(r4, g_bar, slots=(0, 3))  # Ric(Y, Z) = tr(X -> R(X, Y) Z)
     ricci_star = star_ricci_from_curvature(r4, j_bar, g_bar)
 
-    gamma_first = christoffels_first_kind_fd(metric_fn, coords, cfg)
+    gamma_first = _first_kind(dg)
     gamma = np.einsum("kl,ijl->kij", ginv, gamma_first)
     dj = partial_derivatives(j_fn, coords, cfg)
     nabla_j = (

@@ -140,27 +140,66 @@ def emit_report(report: Report, fmt: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def parse_factor_spec(spec: str):
-    """Factor builders: ``round``, ``space-form:<c>``, ``deformed:<alpha>``."""
+@dataclass(frozen=True)
+class FactorSpec:
+    """A parsed factor flag: ``round``, ``space-form`` with ``value = c``, or
+    ``deformed`` with ``value = alpha``.
+
+    Calling it builds the factor model with ``size`` phi-pairs;
+    :attr:`chart_alpha` is the deformation parameter of the sphere chart
+    that realizes the same factor.
+    """
+
+    kind: str
+    value: float = 1.0
+
+    def __call__(self, size: int) -> SasakianPointModel:
+        if self.kind == "space-form":
+            return make_space_form_model(size, self.value)
+        model = make_round_sphere_model(size)
+        return d_homothetic_deform(model, self.value) if self.kind == "deformed" else model
+
+    @property
+    def chart_alpha(self) -> float:
+        if self.kind != "space-form":
+            return self.value
+        if self.value <= -3.0:
+            raise InvalidParameterError(
+                f"space form c={self.value} has no sphere chart realization (needs c > -3)"
+            )
+        return 4.0 / (self.value + 3.0)
+
+
+def parse_factor_spec(spec: str) -> FactorSpec:
+    """Parse ``round``, ``space-form:<c>`` or ``deformed:<alpha>``."""
     if spec == "round":
-        return lambda size: make_round_sphere_model(size)
-    if spec.startswith("space-form:"):
-        c = float(spec.split(":", 1)[1])
-        return lambda size: make_space_form_model(size, c)
-    if spec.startswith("deformed:"):
-        alpha = float(spec.split(":", 1)[1])
-        return lambda size: d_homothetic_deform(make_round_sphere_model(size), alpha)
-    raise InvalidParameterError(f"unknown factor spec {spec!r}")
+        return FactorSpec("round")
+    kind, sep, text = spec.partition(":")
+    if not sep or kind not in ("space-form", "deformed"):
+        raise InvalidParameterError(f"unknown factor spec {spec!r}")
+    try:
+        value = float(text)
+    except ValueError:
+        raise InvalidParameterError(f"factor spec {spec!r} needs a number after ':'") from None
+    if not math.isfinite(value):
+        raise InvalidParameterError(f"factor spec {spec!r} needs a finite number, got {text}")
+    return FactorSpec(kind, value)
 
 
 def parse_grid(spec: str) -> list[float]:
     """``start:stop:step`` inclusive of both ends (within 1e-12), or one value."""
-    if ":" not in spec:
-        return [float(spec)]
     parts = spec.split(":")
-    if len(parts) != 3:
+    if len(parts) not in (1, 3):
         raise InvalidParameterError(f"grid spec must be start:stop:step, got {spec!r}")
-    start, stop, step = (float(x) for x in parts)
+    try:
+        numbers = [float(x) for x in parts]
+    except ValueError:
+        raise InvalidParameterError(f"grid spec {spec!r} needs numbers") from None
+    if not all(math.isfinite(x) for x in numbers):
+        raise InvalidParameterError(f"grid spec {spec!r} needs finite numbers")
+    if len(numbers) == 1:
+        return numbers
+    start, stop, step = numbers
     if step <= 0.0 or stop < start:
         raise InvalidParameterError(f"bad grid spec {spec!r}")
     values = []
@@ -174,22 +213,6 @@ def parse_grid(spec: str) -> list[float]:
     if not values:
         raise InvalidParameterError(f"empty grid {spec!r}")
     return values
-
-
-def _factor_alpha(spec: str) -> float:
-    """Chart deformation parameter equivalent to a factor spec."""
-    if spec == "round":
-        return 1.0
-    if spec.startswith("deformed:"):
-        return float(spec.split(":", 1)[1])
-    if spec.startswith("space-form:"):
-        c = float(spec.split(":", 1)[1])
-        if c <= -3.0:
-            raise InvalidParameterError(
-                f"space form c={c} has no sphere chart realization (needs c > -3)"
-            )
-        return 4.0 / (c + 3.0)
-    raise InvalidParameterError(f"unknown factor spec {spec!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -410,11 +433,10 @@ def _run_scan(args) -> list[CheckRecord]:
 def _run_oracle_compare(args) -> list[CheckRecord]:
     if args.points < 1:
         raise InvalidParameterError(f"need at least one sample point, got --points {args.points}")
-    factor_chart = FactorChart(SphereChart(2 * args.p + 2), alpha=_factor_alpha(args.factor))
-    factor_chart_prime = FactorChart(
-        SphereChart(2 * args.q + 2), alpha=_factor_alpha(args.factor_prime)
-    )
-    factor, factor_prime = _build_factors(args)
+    spec, spec_prime = parse_factor_spec(args.factor), parse_factor_spec(args.factor_prime)
+    factor_chart = FactorChart(SphereChart(2 * args.p + 2), alpha=spec.chart_alpha)
+    factor_chart_prime = FactorChart(SphereChart(2 * args.q + 2), alpha=spec_prime.chart_alpha)
+    factor, factor_prime = spec(args.p), spec_prime(args.q)
     params = HermitianParams(a=args.a, b=args.b)
     model = build_product_model(factor, factor_prime, params)
     cfg = StencilConfig(step=args.step)
@@ -531,8 +553,9 @@ def _config_echo(args) -> dict:
 
 def run(args) -> Report:
     """Execute one parsed command and collect its report."""
-    if args.tol_algebraic <= 0.0 or args.tol_fd <= 0.0:
-        raise InvalidParameterError("tolerances must be positive")
+    for flag, tol in (("--tol-algebraic", args.tol_algebraic), ("--tol-fd", args.tol_fd)):
+        if not (math.isfinite(tol) and tol > 0.0):
+            raise InvalidParameterError(f"tolerances must be positive and finite, got {flag} {tol}")
     start = time.perf_counter()
     report = Report(config=_config_echo(args))
     try:

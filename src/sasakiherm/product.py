@@ -43,6 +43,9 @@ class HermitianParams:
     b: float
 
     def __post_init__(self):
+        for name, value in (("a", self.a), ("b", self.b)):
+            if not np.isfinite(value):
+                raise InvalidParameterError(f"parameter {name} must be finite, got {value}")
         if self.b == 0.0:
             raise InvalidParameterError(
                 "b = 0 degenerates the product metric and leaves the complex structure undefined"

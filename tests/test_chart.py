@@ -16,13 +16,13 @@ from sasakiherm.chart import (
     christoffels_first_kind_fd,
     compare_with_algebraic,
     embed,
-    embed_jacobian,
     nijenhuis_fd,
     partial_derivatives,
     product_field_functions,
-    pullback_round_metric,
     riemann_fd,
     sample_chart_points,
+    second_partial_derivatives,
+    _stereographic,
 )
 from sasakiherm.einstein import calabi_eckmann_einstein_example
 from sasakiherm.errors import ChartDomainError, InvalidParameterError
@@ -38,9 +38,30 @@ from sasakiherm.tensors import adapted_frame, contract_trace, sectional_curvatur
 CFG = StencilConfig()
 
 
+def round_metric(chart):
+    """The round metric field of a sphere chart, ``(2 / (1 + |u|^2))^2 I``."""
+    return lambda u: canonical_sasakian_fields(chart, u).metric
+
+
+def riemann_nested(metric_field, u, cfg):
+    """Reference curvature: a stencil of the Christoffel symbols, each taken
+    from a stencil of the metric at one outer stencil point."""
+    gamma_field = lambda v: christoffels_fd(metric_field, v, cfg)
+    gamma = gamma_field(u)
+    dgamma = partial_derivatives(gamma_field, u, cfg)  # [d, m, j, k] = d_d Gamma^m_{jk}
+    r_up = (
+        np.einsum("imjk->mijk", dgamma)
+        - np.einsum("jmik->mijk", dgamma)
+        + np.einsum("mil,ljk->mijk", gamma, gamma)
+        - np.einsum("mjl,lik->mijk", gamma, gamma)
+    )
+    return np.einsum("lm,mijk->ijkl", metric_field(u), r_up)
+
+
 def test_stencil_config_validation():
-    with pytest.raises(InvalidParameterError):
-        StencilConfig(step=0.0)
+    for step in (0.0, -1e-3, np.nan, np.inf):
+        with pytest.raises(InvalidParameterError, match="positive and finite"):
+            StencilConfig(step=step)
 
 
 def test_partial_derivatives_on_polynomial():
@@ -49,6 +70,20 @@ def test_partial_derivatives_on_polynomial():
     d = partial_derivatives(f, u, CFG)
     npt.assert_allclose(d[0], [3 * 0.3**2 * (-0.4), 0.0], atol=1e-11)
     npt.assert_allclose(d[1], [0.3**3, np.cos(-0.4)], atol=1e-11)
+
+
+def test_second_partial_derivatives_on_polynomial():
+    f = lambda u: np.array([u[0] ** 3 * u[1], u[0] ** 2 * u[1] ** 2 * u[2] + u[2] ** 4])
+    x, y, z = u = np.array([0.3, -0.4, 0.7])
+    d2 = second_partial_derivatives(f, u, CFG)
+    expected = np.array(
+        [
+            [[6 * x * y, 2 * y * y * z], [3 * x * x, 4 * x * y * z], [0.0, 2 * x * y * y]],
+            [[3 * x * x, 4 * x * y * z], [0.0, 2 * x * x * z], [0.0, 2 * x * x * y]],
+            [[0.0, 2 * x * y * y], [0.0, 2 * x * x * y], [0.0, 12 * z * z]],
+        ]
+    )
+    npt.assert_allclose(d2, expected, atol=1e-9)
 
 
 class TestSphereChart:
@@ -75,14 +110,14 @@ class TestSphereChart:
         chart = SphereChart(4)
         u = sample_chart_points(rng, 3, count=1)[0]
         fd = partial_derivatives(lambda v: embed(chart, v), u, CFG)
-        npt.assert_allclose(np.einsum("ia->ai", fd), embed_jacobian(chart, u), atol=1e-11)
+        npt.assert_allclose(np.einsum("ia->ai", fd), _stereographic(chart, u)[1], atol=1e-11)
 
     def test_domain_errors(self):
         chart = SphereChart(4)
         with pytest.raises(ChartDomainError):
             embed(chart, np.array([np.nan, 0.0, 0.0]))
         with pytest.raises(ChartDomainError):
-            pullback_round_metric(chart, np.full(3, 1.0e7))
+            canonical_sasakian_fields(chart, np.full(3, 1.0e7))
 
     @pytest.mark.parametrize(
         "factor_point,product_point",
@@ -108,11 +143,12 @@ class TestSphereChart:
 
 class TestPullbackMetric:
     def test_conformal_factor_at_origin(self):
-        npt.assert_allclose(pullback_round_metric(SphereChart(4), np.zeros(3)), 4.0 * np.eye(3), atol=0)
+        metric = canonical_sasakian_fields(SphereChart(4), np.zeros(3)).metric
+        npt.assert_allclose(metric, 4.0 * np.eye(3), atol=0)
 
     def test_conformal_factor_at_unit_radius(self):
         u = np.array([1.0, 0.0, 0.0])
-        npt.assert_allclose(pullback_round_metric(SphereChart(4), u), np.eye(3), atol=1e-15)
+        npt.assert_allclose(canonical_sasakian_fields(SphereChart(4), u).metric, np.eye(3), atol=1e-15)
 
     def test_matches_embedding_first_fundamental_form(self, rng):
         # oracle: differentiate the embedding itself and form J^T J
@@ -120,7 +156,7 @@ class TestPullbackMetric:
         u = sample_chart_points(rng, 5, count=1)[0]
         fd = partial_derivatives(lambda v: embed(chart, v), u, CFG)
         jac = np.einsum("ia->ai", fd)
-        npt.assert_allclose(jac.T @ jac, pullback_round_metric(chart, u), atol=1e-11)
+        npt.assert_allclose(jac.T @ jac, canonical_sasakian_fields(chart, u).metric, atol=1e-11)
 
 
 class TestCanonicalFields:
@@ -208,7 +244,7 @@ class TestCanonicalFields:
         j0 = np.kron(np.eye(3), [[0.0, -1.0], [1.0, 0.0]])  # pairs (x_0, x_1), ...
         for point in sample_chart_points(rng, 5, count=10):
             f = canonical_sasakian_fields(chart, point)
-            jac = embed_jacobian(chart, point)
+            jac = _stereographic(chart, point)[1]
             # eta against the test's own J0 guards the chart's fixed rotation and J0
             npt.assert_allclose(f.eta, -jac.T @ j0 @ embed(chart, point), rtol=1e-14, atol=1e-15)
             npt.assert_allclose(f.xi, np.linalg.solve(f.metric, f.eta), rtol=1e-14, atol=0)
@@ -235,12 +271,12 @@ class TestChristoffels:
     def test_sphere_chart_origin(self):
         # the conformal factor is critical at the origin, so all symbols vanish
         chart = SphereChart(4)
-        gamma = christoffels_fd(lambda u: pullback_round_metric(chart, u), np.zeros(3), CFG)
+        gamma = christoffels_fd(round_metric(chart), np.zeros(3), CFG)
         npt.assert_allclose(gamma, 0.0, atol=1e-12)
 
     def test_metric_compatibility(self, rng):
         chart = SphereChart(4)
-        metric_field = lambda u: pullback_round_metric(chart, u)
+        metric_field = round_metric(chart)
         point = sample_chart_points(rng, 3, count=1)[0]
         gamma = christoffels_fd(metric_field, point, CFG)
         dg = partial_derivatives(metric_field, point, CFG)
@@ -251,7 +287,7 @@ class TestChristoffels:
     def test_lower_index_symmetry(self, rng):
         chart = SphereChart(6)
         point = sample_chart_points(rng, 5, count=1)[0]
-        first = christoffels_first_kind_fd(lambda u: pullback_round_metric(chart, u), point, CFG)
+        first = christoffels_first_kind_fd(round_metric(chart), point, CFG)
         npt.assert_allclose(first, np.einsum("jik->ijk", first), atol=1e-9)
 
 
@@ -259,13 +295,36 @@ class TestRiemannFD:
     def test_unit_sphere_sectional_curvature(self, rng):
         chart = SphereChart(4)
         point = sample_chart_points(rng, 3, count=1)[0]
-        metric_field = lambda u: pullback_round_metric(chart, u)
+        metric_field = round_metric(chart)
         riemann = riemann_fd(metric_field, point, CFG)
         for _ in range(5):
             x, y = rng.normal(size=(2, 3))
             assert sectional_curvature(riemann, metric_field(point), x, y) == pytest.approx(
                 1.0, abs=1e-4
             )
+
+    @pytest.mark.parametrize("q,alpha", [(1, 1.0), (1, 0.5), (2, 1.0), (2, 0.5)])
+    def test_matches_nested_christoffel_stencils(self, rng, q, alpha):
+        factor_chart = FactorChart(SphereChart(2 * q + 2), alpha=alpha)
+        point = sample_chart_points(rng, factor_chart.dim, count=1)[0]
+        metric_field = factor_chart.metric_field()
+        npt.assert_allclose(
+            riemann_fd(metric_field, point, CFG), riemann_nested(metric_field, point, CFG),
+            rtol=0, atol=1e-8,
+        )
+
+    @pytest.mark.parametrize("dim,evaluations", [(3, 175), (5, 451)])
+    def test_metric_evaluations_per_call(self, dim, evaluations):
+        # the point, 8 per first partial, 32 per mixed pair and 18 distinct
+        # points per pure second partial: 1 + 8 n + 16 n (n - 1) + 18 n
+        calls = []
+
+        def metric_field(u):
+            calls.append(u)
+            return np.eye(dim) + np.outer(u, u)
+
+        riemann_fd(metric_field, np.full(dim, 0.1), CFG)
+        assert len(calls) == evaluations
 
     def test_flat_chart_curvature_vanishes(self):
         riemann = riemann_fd(lambda u: np.eye(4), np.full(4, 0.2), CFG)
@@ -274,7 +333,7 @@ class TestRiemannFD:
     def test_five_sphere_is_einstein(self, rng):
         chart = SphereChart(6)
         point = sample_chart_points(rng, 5, count=1)[0]
-        metric_field = lambda u: pullback_round_metric(chart, u)
+        metric_field = round_metric(chart)
         ricci = contract_trace(riemann_fd(metric_field, point, CFG), metric_field(point))
         npt.assert_allclose(ricci, 4.0 * metric_field(point), atol=1e-4)
 

@@ -50,8 +50,8 @@ class TestGridParsing:
         assert parse_grid("0:1:0.4") == [0.0, 0.4, 0.8]
 
     def test_bad_specs(self):
-        for spec in ("1:0:0.5", "0:1:-1", "0:1", "a:b:c"):
-            with pytest.raises((InvalidParameterError, ValueError)):
+        for spec in ("1:0:0.5", "0:1:-1", "0:1", "a:b:c", "x", "0:1:nan", "nan:1:0.5", "0:inf:1", "inf"):
+            with pytest.raises(InvalidParameterError):
                 parse_grid(spec)
 
 
@@ -71,6 +71,22 @@ class TestFactorSpecs:
     def test_unknown(self):
         with pytest.raises(InvalidParameterError):
             parse_factor_spec("hyperbolic")
+
+    @pytest.mark.parametrize(
+        "spec,alpha", [("round", 1.0), ("space-form:5", 0.5), ("deformed:0.5", 0.5)]
+    )
+    def test_chart_alpha_realizes_the_same_factor(self, spec, alpha):
+        # the chart deforms the round sphere by chart_alpha; the model built
+        # from the spec must be the same space form
+        parsed = parse_factor_spec(spec)
+        assert parsed.chart_alpha == alpha
+        realized = parse_factor_spec(f"deformed:{parsed.chart_alpha}")(1)
+        assert parsed(1).ricci == pytest.approx(realized.ricci, abs=1e-12)
+
+    def test_chart_alpha_needs_c_above_minus_three(self):
+        parse_factor_spec("space-form:-4")(1)  # the model exists
+        with pytest.raises(InvalidParameterError, match="needs c > -3"):
+            parse_factor_spec("space-form:-4").chart_alpha
 
 
 class TestEmitReport:
@@ -212,17 +228,26 @@ class TestCommands:
 
 class TestExitCodes:
     def test_invalid_b_is_usage_error(self, capsys):
-        code, _, err = run_cli(
-            ["einstein", "--p", "1", "--q", "1", "--a", "0", "--b", "0"], capsys
-        )
-        assert code == 2
-        assert "error" in err
+        for command, flag, value, message in (
+            ("einstein", "--b", "0", "b = 0 degenerates"),
+            ("einstein", "--b", "inf", "must be finite, got inf"),
+            ("einstein", "--a", "nan", "must be finite, got nan"),
+            ("verify-product", "--a", "nan", "must be finite, got nan"),
+            ("scan", "--a", "0:1:nan", "needs finite numbers"),
+            ("scan", "--b", "x", "needs numbers"),
+        ):
+            code, out, err = run_cli([command, "--p", "1", "--q", "1", flag, value], capsys)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error") and message in err
 
     def test_unknown_factor_is_usage_error(self, capsys):
-        code, _, err = run_cli(
-            ["verify-factor", "--p", "1", "--factor", "torus"], capsys
-        )
-        assert code == 2
+        for command in ("verify-factor", "oracle-compare"):
+            for spec in ("torus", "space-form:abc", "deformed:", "space-form:nan", "deformed:inf"):
+                code, out, err = run_cli([command, "--p", "1", "--factor", spec], capsys)
+                assert code == 2
+                assert out == ""
+                assert repr(spec) in err
 
     def test_argparse_rejects_unknown_command(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -230,11 +255,20 @@ class TestExitCodes:
         assert excinfo.value.code == 2
 
     def test_nonpositive_tolerance_is_usage_error(self, capsys):
-        code, _, err = run_cli(
-            ["verify-factor", "--p", "1", "--tol-algebraic", "0"], capsys
-        )
-        assert code == 2
-        assert "positive" in err
+        for command, flag, value in (
+            ("verify-factor", "--tol-algebraic", "0"),
+            ("verify-factor", "--tol-algebraic", "inf"),
+            ("verify-factor", "--tol-algebraic", "nan"),
+            ("oracle-compare", "--tol-fd", "nan"),
+            ("oracle-compare", "--tol-fd", "-inf"),
+            ("oracle-compare", "--step", "nan"),
+            ("oracle-compare", "--step", "inf"),
+        ):
+            code, out, err = run_cli([command, "--p", "1", f"{flag}={value}"], capsys)
+            assert code == 2
+            assert out == ""
+            assert "positive and finite, got" in err
+            assert err.rstrip().endswith(value)
 
     @pytest.mark.parametrize("flag", ["--p", "--q"])
     def test_example_without_phi_pairs_is_usage_error(self, capsys, flag):
