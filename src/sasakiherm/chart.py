@@ -167,8 +167,12 @@ class SphereChart:
         rotation = np.eye(n)
         if self.pole is not None:
             pole = np.asarray(self.pole, dtype=float)
-            if pole.shape != (n,) or abs(pole @ pole - 1.0) > 1e-12:
-                raise InvalidParameterError("pole must be a unit ambient vector")
+            if (
+                pole.shape != (n,)
+                or not np.all(np.isfinite(pole))
+                or abs(pole @ pole - 1.0) > 1e-12
+            ):
+                raise InvalidParameterError(f"pole must be a finite unit ambient vector, got {pole}")
             pole = np.ascontiguousarray(pole)
             pole.setflags(write=False)
             object.__setattr__(self, "pole", pole)
@@ -253,8 +257,10 @@ class FactorChart:
     alpha: float = 1.0
 
     def __post_init__(self):
-        if self.alpha <= 0.0:
-            raise InvalidParameterError(f"deformation parameter must be positive, got {self.alpha}")
+        if not (np.isfinite(self.alpha) and self.alpha > 0.0):
+            raise InvalidParameterError(
+                f"deformation parameter must be positive and finite, got {self.alpha}"
+            )
 
     @property
     def dim(self) -> int:
@@ -364,6 +370,46 @@ def _nijenhuis(j: np.ndarray, dj: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _field_memo(factor_chart: FactorChart) -> Callable[[np.ndarray], SasakianChartFields]:
+    """``factor_chart.fields`` evaluated once per distinct chart point.
+
+    Entries are keyed on the shape and exact bytes of the coordinates, so
+    a hit returns what a fresh evaluation would, and every new point is
+    validated by the evaluation itself.  Cached arrays are read-only.
+    """
+    cache: dict[tuple, SasakianChartFields] = {}
+
+    def fields(u: np.ndarray) -> SasakianChartFields:
+        u = np.asarray(u, dtype=float)
+        key = (u.shape, u.tobytes())
+        found = cache.get(key)
+        if found is None:
+            found = cache[key] = factor_chart.fields(u)
+            for value in vars(found).values():
+                value.setflags(write=False)
+        return found
+
+    return fields
+
+
+def _product_fields(
+    fields1: Callable, fields2: Callable, m: int, params: HermitianParams
+) -> tuple[Callable, Callable]:
+    """``(g_bar(u), J_bar(u))`` from factor-field functions of ``u[:m]`` and ``u[m:]``."""
+
+    def metric_fn(u: np.ndarray) -> np.ndarray:
+        u = np.asarray(u, dtype=float)
+        f1, f2 = fields1(u[:m]), fields2(u[m:])
+        return product_metric(f1.metric, f1.eta, f2.metric, f2.eta, params)
+
+    def j_fn(u: np.ndarray) -> np.ndarray:
+        u = np.asarray(u, dtype=float)
+        f1, f2 = fields1(u[:m]), fields2(u[m:])
+        return product_complex_structure(f1.phi, f1.xi, f1.eta, f2.phi, f2.xi, f2.eta, params)
+
+    return metric_fn, j_fn
+
+
 def product_field_functions(
     factor_chart: FactorChart,
     factor_chart_prime: FactorChart,
@@ -373,23 +419,13 @@ def product_field_functions(
 
     Both apply the block formulas of :mod:`sasakiherm.product` to the
     factor fields at ``u``; nothing else of the closed-form engine
-    enters.
+    enters.  The pair shares one memo per factor, so each factor's
+    fields are evaluated once per distinct factor point for as long as
+    the closures live.
     """
-    m = factor_chart.dim
-
-    def metric_fn(u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        f1 = factor_chart.fields(u[:m])
-        f2 = factor_chart_prime.fields(u[m:])
-        return product_metric(f1.metric, f1.eta, f2.metric, f2.eta, params)
-
-    def j_fn(u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        f1 = factor_chart.fields(u[:m])
-        f2 = factor_chart_prime.fields(u[m:])
-        return product_complex_structure(f1.phi, f1.xi, f1.eta, f2.phi, f2.xi, f2.eta, params)
-
-    return metric_fn, j_fn
+    return _product_fields(
+        _field_memo(factor_chart), _field_memo(factor_chart_prime), factor_chart.dim, params
+    )
 
 
 def sample_chart_points(
@@ -438,8 +474,8 @@ def _product_adapted_frame(f1: SasakianChartFields, f2: SasakianChartFields) -> 
 
 
 def _connection_block_prediction(
-    factor_chart: FactorChart,
-    factor_chart_prime: FactorChart,
+    fields1: Callable,
+    fields2: Callable,
     f1: SasakianChartFields,
     f2: SasakianChartFields,
     params: HermitianParams,
@@ -455,11 +491,10 @@ def _connection_block_prediction(
     checked against it.
     """
     a, b = params.a, params.b
-    m = factor_chart.dim
-    mp = factor_chart_prime.dim
-    dim = m + mp
-    gamma1 = christoffels_first_kind_fd(factor_chart.metric_field(), coords[:m], cfg)
-    gamma2 = christoffels_first_kind_fd(factor_chart_prime.metric_field(), coords[m:], cfg)
+    m = f1.metric.shape[0]
+    dim = m + f2.metric.shape[0]
+    gamma1 = christoffels_first_kind_fd(lambda v: fields1(v).metric, coords[:m], cfg)
+    gamma2 = christoffels_first_kind_fd(lambda v: fields2(v).metric, coords[m:], cfg)
     # eta(nabla_X Y) = xi^k Gamma_{ij,k}
     reeb_of_nabla1 = np.einsum("ijk,k->ij", gamma1, f1.xi)
     reeb_of_nabla2 = np.einsum("ijk,k->ij", gamma2, f2.xi)
@@ -500,14 +535,16 @@ def compare_with_algebraic(
     comparable entry-by-entry with the closed-form tensors.  Connection
     blocks, the integrability residual and the Nijenhuis tensor are
     checked in coordinates; the last two share one stencil of ``J_bar``
-    with ``nabla J``.
+    with ``nabla J``.  Every stencil reads the factor fields through one
+    memo per factor, so each distinct factor point is evaluated once.
     """
     cfg = cfg or StencilConfig()
     coords = np.asarray(coords, dtype=float)
-    metric_fn, j_fn = product_field_functions(factor_chart, factor_chart_prime, params)
     m = factor_chart.dim
-    f1 = factor_chart.fields(coords[:m])
-    f2 = factor_chart_prime.fields(coords[m:])
+    fields1, fields2 = _field_memo(factor_chart), _field_memo(factor_chart_prime)
+    metric_fn, j_fn = _product_fields(fields1, fields2, m, params)
+    f1 = fields1(coords[:m])
+    f2 = fields2(coords[m:])
     g_bar = product_metric(f1.metric, f1.eta, f2.metric, f2.eta, params)
     j_bar = product_complex_structure(f1.phi, f1.xi, f1.eta, f2.phi, f2.xi, f2.eta, params)
     ginv = np.linalg.inv(g_bar)
@@ -527,9 +564,7 @@ def compare_with_algebraic(
     )
 
     frame = _product_adapted_frame(f1, f2)
-    prediction = _connection_block_prediction(
-        factor_chart, factor_chart_prime, f1, f2, params, coords, cfg
-    )
+    prediction = _connection_block_prediction(fields1, fields2, f1, f2, params, coords, cfg)
     return OracleComparison(
         riemann=float(np.abs(change_frame(frame, r4) - model.riemann_bar).max()),
         ricci=float(np.abs(change_frame(frame, ricci) - model.ricci_bar).max()),

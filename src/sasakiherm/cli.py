@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -434,9 +435,9 @@ def _run_oracle_compare(args) -> list[CheckRecord]:
     if args.points < 1:
         raise InvalidParameterError(f"need at least one sample point, got --points {args.points}")
     spec, spec_prime = parse_factor_spec(args.factor), parse_factor_spec(args.factor_prime)
+    factor, factor_prime = spec(args.p), spec_prime(args.q)  # validates the phi-pair counts
     factor_chart = FactorChart(SphereChart(2 * args.p + 2), alpha=spec.chart_alpha)
     factor_chart_prime = FactorChart(SphereChart(2 * args.q + 2), alpha=spec_prime.chart_alpha)
-    factor, factor_prime = spec(args.p), spec_prime(args.q)
     params = HermitianParams(a=args.a, b=args.b)
     model = build_product_model(factor, factor_prime, params)
     cfg = StencilConfig(step=args.step)
@@ -514,7 +515,9 @@ def _add_common(parser: argparse.ArgumentParser, with_params: bool = True) -> No
     parser.add_argument("--out", default=None, help="write the report here instead of stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one argument parser of the process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="sasakiherm",
         description="Verify Hermitian structures on products of Sasakian manifolds.",

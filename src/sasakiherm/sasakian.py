@@ -260,8 +260,8 @@ def d_homothetic_deform(model: SasakianPointModel, alpha: float) -> SasakianPoin
     re-expressed in a new adapted orthonormal frame so the output
     satisfies the same frame conventions as the constructors.
     """
-    if alpha <= 0.0:
-        raise InvalidParameterError(f"deformation parameter must be positive, got {alpha}")
+    if not (np.isfinite(alpha) and alpha > 0.0):
+        raise InvalidParameterError(f"deformation parameter must be positive and finite, got {alpha}")
     alpha = float(alpha)
     g, phi, xi, eta, riemann = model.g, model.phi, model.xi, model.eta, model.riemann
     dim = model.dim

@@ -22,11 +22,17 @@ from sasakiherm.chart import (
     riemann_fd,
     sample_chart_points,
     second_partial_derivatives,
+    _field_memo,
     _stereographic,
 )
 from sasakiherm.einstein import calabi_eckmann_einstein_example
 from sasakiherm.errors import ChartDomainError, InvalidParameterError
-from sasakiherm.product import HermitianParams, build_product_model
+from sasakiherm.product import (
+    HermitianParams,
+    build_product_model,
+    product_complex_structure,
+    product_metric,
+)
 from sasakiherm.sasakian import (
     SasakianPointModel,
     d_homothetic_deform,
@@ -94,6 +100,12 @@ class TestSphereChart:
             SphereChart(4, direction=2)
         with pytest.raises(InvalidParameterError):
             SphereChart(4, pole=np.array([1.0, 1.0, 0.0, 0.0]))
+        for pole in ([np.nan, 0.0, 0.0, 0.0], [np.inf, 0.0, 0.0, 0.0], [1.0, np.nan, 0.0, 0.0]):
+            with pytest.raises(InvalidParameterError, match="finite unit ambient vector, got"):
+                SphereChart(4, pole=pole)
+        for alpha in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(InvalidParameterError, match=f"positive and finite, got {alpha}"):
+                FactorChart(SphereChart(4), alpha=alpha)
 
     def test_embedding_lands_on_sphere(self, rng):
         chart = SphereChart(6)
@@ -378,6 +390,74 @@ class TestProductFields:
         for point in sample_chart_points(rng, 6, count=50):
             g_bar, j_bar = metric_fn(point), j_fn(point)
             npt.assert_allclose(j_bar.T @ g_bar @ j_bar, g_bar, atol=1e-12)
+
+
+@pytest.fixture
+def field_calls(monkeypatch):
+    """Points at which ``FactorChart.fields`` is evaluated, in call order."""
+    calls = []
+    fields = FactorChart.fields
+    monkeypatch.setattr(FactorChart, "fields", lambda self, u: calls.append(u) or fields(self, u))
+    return calls
+
+
+class TestFieldMemo:
+    def test_factor_field_evaluations_per_comparison(self, field_calls, rng):
+        # N = 6: per 3-dimensional factor the point, 12 distinct offsets on each
+        # axis and 28 distinct points per mixed pair, 1 + 36 + 84 = 121; the
+        # cross pairs and the factor Christoffel stencils reuse them all
+        model = build_product_model(
+            make_round_sphere_model(1), make_round_sphere_model(1), HermitianParams(0.5, 1.0)
+        )
+        fc = FactorChart(SphereChart(4))
+        point = sample_chart_points(rng, 6, count=1)[0]
+        compare_with_algebraic(fc, fc, HermitianParams(0.5, 1.0), model, point, CFG)
+        assert len(field_calls) == 242
+
+    def test_memoized_fields_match_fresh_evaluation(self, rng):
+        fc1, fc2 = FactorChart(SphereChart(4), alpha=0.5), FactorChart(SphereChart(6))
+        params = HermitianParams(-0.7, 1.3)
+        metric_fn, j_fn = product_field_functions(fc1, fc2, params)
+        point = sample_chart_points(rng, 8, count=1)[0]
+        # stencil points along either factor share the other factor's slice
+        steps = [np.zeros(8)] + [CFG.step * k * np.eye(8)[axis] for axis in (0, 5) for k in (1, -2)]
+        for _ in range(2):
+            for step in steps:
+                u = point + step
+                f1, f2 = fc1.fields(u[:3]), fc2.fields(u[3:])
+                assert np.array_equal(
+                    metric_fn(u), product_metric(f1.metric, f1.eta, f2.metric, f2.eta, params)
+                )
+                assert np.array_equal(
+                    j_fn(u),
+                    product_complex_structure(f1.phi, f1.xi, f1.eta, f2.phi, f2.xi, f2.eta, params),
+                )
+
+    def test_cached_arrays_are_read_only(self):
+        fields = _field_memo(FactorChart(SphereChart(4), alpha=0.5))
+        cached = fields(np.full(3, 0.1))
+        for value in (cached.metric, cached.xi, cached.eta, cached.phi):
+            with pytest.raises(ValueError, match="read-only"):
+                value[0] = 1.0
+        assert fields(np.full(3, 0.1)) is cached
+
+    def test_closure_pairs_share_no_entries(self, field_calls, rng):
+        point = sample_chart_points(rng, 6, count=1)[0]
+        round_chart, deformed = FactorChart(SphereChart(4)), FactorChart(SphereChart(4), alpha=0.5)
+        pairs = (
+            (round_chart, HermitianParams(0.0, 1.0)),
+            (round_chart, HermitianParams(0.5, 2.0)),
+            (deformed, HermitianParams(0.5, 2.0)),
+        )
+        for fc, params in pairs:
+            metric_fn, _ = product_field_functions(fc, fc, params)
+            f1, f2 = fc.fields(point[:3]), fc.fields(point[3:])
+            expected = product_metric(f1.metric, f1.eta, f2.metric, f2.eta, params)
+            before = len(field_calls)
+            for _ in range(2):
+                assert np.array_equal(metric_fn(point), expected)
+            # each new pair evaluates both factors afresh, then only hits
+            assert len(field_calls) - before == 2
 
 
 class TestNijenhuis:

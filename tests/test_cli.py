@@ -235,6 +235,8 @@ class TestExitCodes:
             ("verify-product", "--a", "nan", "must be finite, got nan"),
             ("scan", "--a", "0:1:nan", "needs finite numbers"),
             ("scan", "--b", "x", "needs numbers"),
+            ("oracle-compare", "--p", "0", "need at least one phi-pair, got 0"),
+            ("oracle-compare", "--q", "-1", "need at least one phi-pair, got -1"),
         ):
             code, out, err = run_cli([command, "--p", "1", "--q", "1", flag, value], capsys)
             assert code == 2
@@ -319,6 +321,27 @@ class TestDeterminism:
             payload = json.loads(out)
             residuals.append([c["residual"] for c in payload["checks"]])
         assert residuals[0] == residuals[1]
+
+
+def test_output_independent_of_earlier_commands(capsys):
+    # the parser is built once per process; no command may leave state in it
+    argvs = [
+        ["verify-factor", "--p", "2", "--factor", "deformed:0.5"],
+        ["einstein", "--p", "1", "--q", "2", "--a", "0.3", "--b", "1.2"],
+        ["oracle-compare", "--q", "0"],
+        ["scan", "--a", "0:0.5:0.5", "--b", "1", "--check", "integrability"],
+        ["example", "--p", "2", "--q", "1", "--tol-algebraic", "1e-8"],
+        ["oracle-compare", "--points", "1", "--step", "2e-3", "--seed", "3"],
+        ["verify-product", "--p", "1", "--q", "1", "--b", "2", "--factor-prime", "space-form:5"],
+    ]
+    fresh = []
+    for argv in argvs:
+        build_parser.cache_clear()
+        fresh.append(run_cli(argv + ["--format", "csv"], capsys))
+    for order in (argvs, argvs[::-1]):
+        after_others = {tuple(argv): run_cli(argv + ["--format", "csv"], capsys) for argv in order}
+        assert [after_others[tuple(argv)] for argv in argvs] == fresh
+    assert build_parser() is build_parser()
 
 
 def test_report_written_to_file(tmp_path, capsys):

@@ -244,10 +244,9 @@ class TestDHomotheticDeformation:
         assert max(residuals.values()) <= 1e-12, residuals
 
     def test_nonpositive_alpha_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            d_homothetic_deform(make_round_sphere_model(1), 0.0)
-        with pytest.raises(InvalidParameterError):
-            d_homothetic_deform(make_round_sphere_model(1), -1.0)
+        for alpha in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(InvalidParameterError, match=f"positive and finite, got {alpha}"):
+                d_homothetic_deform(make_round_sphere_model(1), alpha)
 
 
 class TestExactArithmetic:
