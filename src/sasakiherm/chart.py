@@ -66,15 +66,21 @@ class StencilConfig:
             raise InvalidParameterError(f"stencil step must be positive and finite, got {self.step}")
 
 
+_CENTRAL_WEIGHTS = ((2, -1.0), (1, 8.0), (-1, -8.0), (-2, 1.0))  # over 12 h
+
+
 def _central(f: Callable, u: np.ndarray, axis: int, h: float) -> np.ndarray:
-    e = np.zeros_like(u)
-    e[axis] = h
-    return (
-        -np.asarray(f(u + 2.0 * e))
-        + 8.0 * np.asarray(f(u + e))
-        - 8.0 * np.asarray(f(u - e))
-        + np.asarray(f(u - 2.0 * e))
-    ) / (12.0 * h)
+    total = 0.0
+    for a, w in _CENTRAL_WEIGHTS:
+        step = np.zeros_like(u)
+        step[axis] = a * h
+        total = total + w * np.asarray(f(u + step))
+    return total / (12.0 * h)
+
+
+def _richardson(stencil: Callable, f: Callable, u: np.ndarray, *axes: int, h: float) -> np.ndarray:
+    """An order-4 stencil at ``h/2`` and ``h``, Richardson-extrapolated one order higher."""
+    return (16.0 * stencil(f, u, *axes, h / 2.0) - stencil(f, u, *axes, h)) / 15.0
 
 
 def partial_derivatives(f: Callable, u: np.ndarray, cfg: StencilConfig) -> np.ndarray:
@@ -85,15 +91,7 @@ def partial_derivatives(f: Callable, u: np.ndarray, cfg: StencilConfig) -> np.nd
     field is never evaluated at ``u`` itself.
     """
     u = np.asarray(u, dtype=float)
-    return np.stack(
-        [
-            (16.0 * _central(f, u, i, cfg.step / 2.0) - _central(f, u, i, cfg.step)) / 15.0
-            for i in range(u.size)
-        ]
-    )
-
-
-_CENTRAL_WEIGHTS = ((2, -1.0), (1, 8.0), (-1, -8.0), (-2, 1.0))  # over 12 h
+    return np.stack([_richardson(_central, f, u, i, h=cfg.step) for i in range(u.size)])
 
 
 def _central_pair(f: Callable, u: np.ndarray, i: int, j: int, h: float) -> np.ndarray:
@@ -128,10 +126,7 @@ def second_partial_derivatives(f: Callable, u: np.ndarray, cfg: StencilConfig) -
     out: list[list] = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            out[i][j] = out[j][i] = (
-                16.0 * _central_pair(f, u, i, j, cfg.step / 2.0)
-                - _central_pair(f, u, i, j, cfg.step)
-            ) / 15.0
+            out[i][j] = out[j][i] = _richardson(_central_pair, f, u, i, j, h=cfg.step)
     return np.array(out)
 
 

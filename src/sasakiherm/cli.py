@@ -44,7 +44,6 @@ from .einstein import (
 from .errors import GeometryError, InvalidParameterError
 from .product import (
     HermitianParams,
-    build_product_metric,
     build_product_model,
     build_product_ricci,
     check_integrability,
@@ -225,51 +224,60 @@ def _bool_check(name: str, anchor: str, ok: bool) -> CheckRecord:
     return CheckRecord(name, anchor, 0.0 if ok else 1.0, BOOL_TOL)
 
 
-def _run_verify_factor(args) -> list[CheckRecord]:
+def _table_checks(table, values, tolerances: dict, name: str) -> list[CheckRecord]:
+    """One check per ``(attribute, anchor, tolerance tier)`` row, read off ``values``.
+
+    ``name.format(attribute)`` names the check.
+    """
+    return [
+        CheckRecord(name.format(attr), anchor, getattr(values, attr), tolerances[tier])
+        for attr, anchor, tier in table
+    ]
+
+
+_IDENTITY_CHECKS = (
+    ("phi_exchange",
+     "R(X,Y,phiZ,W) - R(phiZ,X,Y,W) = the same in the space-form curvature of "
+     "c = (2A - 3n + 1)/(n + 1), where Ric = A g + B eta(x)eta (space forms only)",
+     "algebraic"),
+    ("traced_phi_exchange",
+     "sum_i R(X,Y,phi e_i,e_i) - sum_i R(phi e_i,X,Y,e_i) = -3 Ric(X,phiY) - 3(2n-1) g(phiX,Y)",
+     "algebraic"),
+    ("phi_pair_trace",
+     "sum_i R(X,Y,e_i,phi e_i) = 2 Ric(X,phiY) + 2(2n-1) g(phiX,Y)",
+     "algebraic"),
+    ("shifted_phi_pair_trace",
+     "sum_i R(X,phiY,e_i,phi e_i) = -2 Ric(X,Y) + 2(2n-1) g(X,Y) + 2 eta(X)eta(Y)",
+     "algebraic"),
+)
+
+# curvature-level residuals come from second-derivative stencils, the rest
+# from first-derivative ones, which resolve a tighter tolerance
+_ORACLE_CHECKS = (
+    ("riemann", "stencil curvature vs closed form", "second"),
+    ("ricci", "stencil ricci vs closed form", "second"),
+    ("ricci_star", "stencil star-ricci vs closed form", "second"),
+    ("connection", "product connection blocks vs factor prediction", "first"),
+    ("nabla_j", "stencil nabla J vs closed form", "first"),
+    ("nijenhuis", "vanishing Nijenhuis tensor", "first"),
+)
+
+
+def _run_verify_factor(args) -> tuple[list[CheckRecord], dict]:
     model = parse_factor_spec(args.factor)(args.p)
     tol = args.tol_algebraic
     checks = [
         CheckRecord(f"structure.{name}", "pointwise Sasakian structure relations", value, tol)
         for name, value in sasakian_structure_residuals(model).items()
     ]
-    identities = verify_sasakian_curvature_identities(model)
-    checks += [
-        CheckRecord(
-            "identity.phi_exchange",
-            "R(X,Y,phiZ,W) - R(phiZ,X,Y,W) = the same in the space-form curvature of "
-            "c = (2A - 3n + 1)/(n + 1), where Ric = A g + B eta(x)eta (space forms only)",
-            identities.phi_exchange,
-            tol,
-        ),
-        CheckRecord(
-            "identity.traced_phi_exchange",
-            "sum_i R(X,Y,phi e_i,e_i) - sum_i R(phi e_i,X,Y,e_i) = -3 Ric(X,phiY) - 3(2n-1) g(phiX,Y)",
-            identities.traced_phi_exchange,
-            tol,
-        ),
-        CheckRecord(
-            "identity.phi_pair_trace",
-            "sum_i R(X,Y,e_i,phi e_i) = 2 Ric(X,phiY) + 2(2n-1) g(phiX,Y)",
-            identities.phi_pair_trace,
-            tol,
-        ),
-        CheckRecord(
-            "identity.shifted_phi_pair_trace",
-            "sum_i R(X,phiY,e_i,phi e_i) = -2 Ric(X,Y) + 2(2n-1) g(X,Y) + 2 eta(X)eta(Y)",
-            identities.shifted_phi_pair_trace,
-            tol,
-        ),
-    ]
-    fit = classify_eta_einstein(model)
-    checks.append(
-        CheckRecord(
-            "eta_einstein_fit",
-            f"ricci = {fit.g_coeff:.12g} g + {fit.eta_coeff:.12g} eta(x)eta",
-            fit.residual,
-            tol,
-        )
+    checks += _table_checks(
+        _IDENTITY_CHECKS, verify_sasakian_curvature_identities(model), {"algebraic": tol},
+        name="identity.{}",
     )
-    return checks
+    fit = classify_eta_einstein(model)
+    anchor = f"ricci = {fit.g_coeff:.12g} g + {fit.eta_coeff:.12g} eta(x)eta"
+    checks.append(CheckRecord("eta_einstein_fit", anchor, fit.residual, tol))
+    return checks, {}
 
 
 def _build_factors(args) -> tuple[SasakianPointModel, SasakianPointModel]:
@@ -278,160 +286,122 @@ def _build_factors(args) -> tuple[SasakianPointModel, SasakianPointModel]:
     return factor, factor_prime
 
 
-def _run_verify_product(args) -> list[CheckRecord]:
+def _run_verify_product(args) -> tuple[list[CheckRecord], dict]:
     factor, factor_prime = _build_factors(args)
-    params = HermitianParams(a=args.a, b=args.b)
-    model = build_product_model(factor, factor_prime, params)
+    model = build_product_model(factor, factor_prime, HermitianParams(a=args.a, b=args.b))
     tol = args.tol_algebraic
-    checks = []
-    hermitian = float(
-        np.abs(model.j_bar.T @ model.g_bar @ model.j_bar - model.g_bar).max()
-    )
-    checks.append(CheckRecord("hermitian_compatibility", "g(JX,JY) = g(X,Y)", hermitian, tol))
-    j_squared = float(np.abs(model.j_bar @ model.j_bar + np.eye(model.dim)).max())
-    checks.append(CheckRecord("complex_structure_squares", "J^2 = -I", j_squared, tol))
-    for name, value in curvature_symmetry_residuals(model.riemann_bar).items():
-        checks.append(CheckRecord(f"curvature.{name}", "algebraic curvature symmetries", value, tol))
-    checks.append(
-        CheckRecord(
-            "integrability",
-            "g((nabla_X J)Y,Z) = g((nabla_JX J)JY,Z)",
-            check_integrability(model),
-            tol,
-        )
-    )
-    ricci_trace = contract_trace(model.riemann_bar, model.g_bar)
-    checks.append(
-        CheckRecord(
-            "ricci_matches_curvature_trace",
-            "closed-form ricci equals metric trace of closed-form curvature",
-            float(np.abs(ricci_trace - model.ricci_bar).max()),
-            max(tol, 1e-11),
-        )
-    )
-    star_trace = star_ricci_from_curvature(model.riemann_bar, model.j_bar, model.g_bar)
-    checks.append(
-        CheckRecord(
-            "ricci_star_matches_trace_definition",
-            "closed-form rho* equals tr(Z -> R(X,JZ)JY)",
-            float(np.abs(star_trace - model.ricci_star_bar).max()),
-            max(tol, 1e-11),
-        )
-    )
+    g_bar, j_bar = model.g_bar, model.j_bar
+    checks = [
+        CheckRecord("hermitian_compatibility", "g(JX,JY) = g(X,Y)",
+                    np.abs(j_bar.T @ g_bar @ j_bar - g_bar).max(), tol),
+        CheckRecord("complex_structure_squares", "J^2 = -I",
+                    np.abs(j_bar @ j_bar + np.eye(model.dim)).max(), tol),
+    ]
+    checks += [
+        CheckRecord(f"curvature.{name}", "algebraic curvature symmetries", value, tol)
+        for name, value in curvature_symmetry_residuals(model.riemann_bar).items()
+    ]
+    checks += [
+        CheckRecord("integrability", "g((nabla_X J)Y,Z) = g((nabla_JX J)JY,Z)",
+                    check_integrability(model), tol),
+        CheckRecord("ricci_matches_curvature_trace",
+                    "closed-form ricci equals metric trace of closed-form curvature",
+                    np.abs(contract_trace(model.riemann_bar, g_bar) - model.ricci_bar).max(),
+                    max(tol, 1e-11)),
+        CheckRecord("ricci_star_matches_trace_definition",
+                    "closed-form rho* equals tr(Z -> R(X,JZ)JY)",
+                    np.abs(star_ricci_from_curvature(model.riemann_bar, j_bar, g_bar)
+                           - model.ricci_star_bar).max(),
+                    max(tol, 1e-11)),
+    ]
     witness = check_not_kahler(model)
     floor = min(1.0, args.a**2 + args.b**2)
-    checks.append(
-        _bool_check(
-            "never_kahler",
-            f"max |nabla J| = {witness:.6g} >= min(1, a^2+b^2) = {floor:.6g}",
-            witness >= floor - tol,
-        )
-    )
     weakly, star_residual = check_weakly_star_einstein(model, tol)
-    checks.append(
-        _bool_check(
-            "not_weakly_star_einstein",
-            f"max |rho* - (tau*/N) g| = {star_residual:.6g} stays positive",
-            not weakly,
-        )
-    )
-    return checks
+    checks += [
+        _bool_check("never_kahler",
+                    f"max |nabla J| = {witness:.6g} >= min(1, a^2+b^2) = {floor:.6g}",
+                    witness >= floor - tol),
+        _bool_check("not_weakly_star_einstein",
+                    f"max |rho* - (tau*/N) g| = {star_residual:.6g} stays positive",
+                    not weakly),
+    ]
+    return checks, {}
 
 
 def _run_einstein(args) -> tuple[list[CheckRecord], dict]:
     factor, factor_prime = _build_factors(args)
     params = HermitianParams(a=args.a, b=args.b)
-    verdict = einstein_verdict(factor, factor_prime, params, tol=args.tol_algebraic)
-    reeb_ratio = 2.0 * args.p + 2.0 * params.a**2 * args.q
-    g_bar = build_product_metric(factor, factor_prime, params)
+    tol = args.tol_algebraic
+    verdict = einstein_verdict(factor, factor_prime, params, tol=tol)
+    # g(xi, xi) of the product metric is the entry of the first factor's metric
+    reeb = factor.dim - 1
     ricci_bar = build_product_ricci(factor, factor_prime, params)
-    reeb_index = factor.dim - 1
-    reeb_value = ricci_bar[reeb_index, reeb_index] / g_bar[reeb_index, reeb_index]
+    reeb_value = ricci_bar[reeb, reeb] / factor.g[reeb, reeb]
     checks = [
-        CheckRecord(
-            "einstein_residual",
-            f"ricci = lambda g with lambda fitted as tau/N = {verdict.einstein_constant!r}",
-            verdict.residual,
-            args.tol_algebraic,
-        ),
-        _bool_check(
-            "verdict_agreement",
-            "structural conditions and residual fit concur",
-            verdict.agreement,
-        ),
-        CheckRecord(
-            "reeb_ricci_ratio",
-            "ricci(xi,xi)/g(xi,xi) = 2p + 2 a^2 q",
-            abs(reeb_value - reeb_ratio),
-            args.tol_algebraic,
-        ),
+        CheckRecord("einstein_residual",
+                    f"ricci = lambda g with lambda fitted as tau/N = {verdict.einstein_constant!r}",
+                    verdict.residual, tol),
+        _bool_check("verdict_agreement", "structural conditions and residual fit concur",
+                    verdict.agreement),
+        CheckRecord("reeb_ricci_ratio", "ricci(xi,xi)/g(xi,xi) = 2p + 2 a^2 q",
+                    abs(reeb_value - (2.0 * args.p + 2.0 * params.a**2 * args.q)), tol),
     ]
     return checks, {"lambda": verdict.einstein_constant}
 
 
 def _run_example(args) -> tuple[list[CheckRecord], dict]:
     spec, model = calabi_eckmann_einstein_example(args.p, args.q)
-    verdict = einstein_verdict(
-        model.factor, model.factor_prime, model.params, tol=args.tol_algebraic
-    )
     tol = args.tol_algebraic
+    verdict = einstein_verdict(model.factor, model.factor_prime, model.params, tol=tol)
+    weakly, _ = check_weakly_star_einstein(model, tol)
     checks = [
         _bool_check("einstein", "the sphere-product example is Einstein", verdict.is_einstein),
-        CheckRecord(
-            "einstein_constant",
-            "lambda = 2p",
-            abs(verdict.einstein_constant - 2.0 * args.p),
-            tol,
-        ),
-        CheckRecord(
-            "star_scalar",
-            "tau* = 4q(1 - p + q)",
-            abs(model.tau_star_bar - star_scalar_prediction(args.p, args.q)),
-            tol,
-        ),
+        CheckRecord("einstein_constant", "lambda = 2p",
+                    abs(verdict.einstein_constant - 2.0 * args.p), tol),
+        CheckRecord("star_scalar", "tau* = 4q(1 - p + q)",
+                    abs(model.tau_star_bar - star_scalar_prediction(args.p, args.q)), tol),
+        _bool_check("not_weakly_star_einstein", "rho* never proportional to g", not weakly),
     ]
-    weakly, _ = check_weakly_star_einstein(model, tol)
-    checks.append(
-        _bool_check("not_weakly_star_einstein", "rho* never proportional to g", not weakly)
-    )
     info = {"c": spec.c, "alpha": spec.alpha, "b": spec.b, "lambda": verdict.einstein_constant}
     return checks, info
 
 
-def _run_scan(args) -> list[CheckRecord]:
+_SCAN_CELLS = {  # --check value -> (anchor, residual of one (a, b) cell)
+    "einstein": (
+        "ricci = lambda g",
+        lambda factor, factor_prime, params, tol:
+            einstein_verdict(factor, factor_prime, params, tol=tol).residual,
+    ),
+    "integrability": (
+        "vanishing integrability defect",
+        lambda factor, factor_prime, params, tol:
+            check_integrability(build_product_model(factor, factor_prime, params)),
+    ),
+}
+
+
+def _run_scan(args) -> tuple[list[CheckRecord], dict]:
     a_values = parse_grid(args.a)
     b_values = [b for b in parse_grid(args.b) if b != 0.0]
     if not b_values:
         raise InvalidParameterError("b grid contains only the excluded value 0")
     factor, factor_prime = _build_factors(args)
-    checks = []
-    for a in a_values:
-        for b in b_values:
-            name = f"{args.check}[a={a:g},b={b:g}]"
-            params = HermitianParams(a=a, b=b)
-            if args.check == "einstein":
-                verdict = einstein_verdict(factor, factor_prime, params, tol=args.tol_algebraic)
-                checks.append(
-                    CheckRecord(
-                        name, "ricci = lambda g", verdict.residual, args.tol_algebraic
-                    )
-                )
-            elif args.check == "integrability":
-                model = build_product_model(factor, factor_prime, params)
-                checks.append(
-                    CheckRecord(
-                        name,
-                        "vanishing integrability defect",
-                        check_integrability(model),
-                        args.tol_algebraic,
-                    )
-                )
-            else:
-                raise InvalidParameterError(f"unknown scan check {args.check!r}")
-    return checks
+    anchor, residual = _SCAN_CELLS[args.check]
+    tol = args.tol_algebraic
+    checks = [
+        CheckRecord(
+            f"{args.check}[a={a:g},b={b:g}]",
+            anchor,
+            residual(factor, factor_prime, HermitianParams(a=a, b=b), tol),
+            tol,
+        )
+        for a in a_values
+        for b in b_values
+    ]
+    return checks, {}
 
 
-def _run_oracle_compare(args) -> list[CheckRecord]:
+def _run_oracle_compare(args) -> tuple[list[CheckRecord], dict]:
     if args.points < 1:
         raise InvalidParameterError(f"need at least one sample point, got --points {args.points}")
     spec, spec_prime = parse_factor_spec(args.factor), parse_factor_spec(args.factor_prime)
@@ -443,55 +413,14 @@ def _run_oracle_compare(args) -> list[CheckRecord]:
     cfg = StencilConfig(step=args.step)
     rng = np.random.default_rng(args.seed)
     dim = factor_chart.dim + factor_chart_prime.dim
-    points = sample_chart_points(rng, dim, count=args.points)
-    tol_fd = args.tol_fd
-    tol_first = min(tol_fd, 1e-5)
+    tolerances = {"second": args.tol_fd, "first": min(args.tol_fd, 1e-5)}
     checks = []
-    for index, point in enumerate(points):
+    for index, point in enumerate(sample_chart_points(rng, dim, count=args.points)):
         comparison = compare_with_algebraic(
             factor_chart, factor_chart_prime, params, model, point, cfg
         )
-        checks.append(
-            CheckRecord(
-                f"riemann[{index}]", "stencil curvature vs closed form", comparison.riemann, tol_fd
-            )
-        )
-        checks.append(
-            CheckRecord(f"ricci[{index}]", "stencil ricci vs closed form", comparison.ricci, tol_fd)
-        )
-        checks.append(
-            CheckRecord(
-                f"ricci_star[{index}]",
-                "stencil star-ricci vs closed form",
-                comparison.ricci_star,
-                tol_fd,
-            )
-        )
-        checks.append(
-            CheckRecord(
-                f"connection[{index}]",
-                "product connection blocks vs factor prediction",
-                comparison.connection,
-                tol_first,
-            )
-        )
-        checks.append(
-            CheckRecord(
-                f"nabla_j[{index}]",
-                "stencil nabla J vs closed form",
-                comparison.nabla_j,
-                tol_first,
-            )
-        )
-        checks.append(
-            CheckRecord(
-                f"nijenhuis[{index}]",
-                "vanishing Nijenhuis tensor",
-                comparison.nijenhuis,
-                tol_first,
-            )
-        )
-    return checks
+        checks += _table_checks(_ORACLE_CHECKS, comparison, tolerances, name=f"{{}}[{index}]")
+    return checks, {}
 
 
 # ---------------------------------------------------------------------------
@@ -499,20 +428,45 @@ def _run_oracle_compare(args) -> list[CheckRecord]:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser, with_params: bool = True) -> None:
-    parser.add_argument("--p", type=int, default=1, help="phi-pairs of the first factor")
-    parser.add_argument("--q", type=int, default=1, help="phi-pairs of the second factor")
-    if with_params:
-        parser.add_argument("--a", type=float, default=0.0)
-        parser.add_argument("--b", type=float, default=1.0)
-    parser.add_argument("--factor", default="round",
-                        help="round | space-form:<c> | deformed:<alpha>")
-    parser.add_argument("--factor-prime", default="round", dest="factor_prime")
-    parser.add_argument("--tol-algebraic", type=float, default=ALGEBRAIC_TOL, dest="tol_algebraic")
-    parser.add_argument("--tol-fd", type=float, default=1e-4, dest="tol_fd")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
-    parser.add_argument("--out", default=None, help="write the report here instead of stdout")
+_FLAGS = {  # key -> (option string, add_argument keywords)
+    "p": ("--p", dict(type=int, default=1, help="phi-pairs of the first factor")),
+    "q": ("--q", dict(type=int, default=1, help="phi-pairs of the second factor")),
+    "a": ("--a", dict(type=float, default=0.0)),
+    "b": ("--b", dict(type=float, default=1.0)),
+    "a-grid": ("--a", dict(default="0", help="value or start:stop:step")),
+    "b-grid": ("--b", dict(default="1", help="value or start:stop:step; 0 cells are skipped")),
+    "check": ("--check", dict(choices=tuple(_SCAN_CELLS), default="einstein")),
+    "factor": ("--factor", dict(default="round", help="round | space-form:<c> | deformed:<alpha>")),
+    "factor-prime": ("--factor-prime", dict(default="round", dest="factor_prime")),
+    "tol-algebraic": ("--tol-algebraic",
+                      dict(type=float, default=ALGEBRAIC_TOL, dest="tol_algebraic")),
+    "tol-fd": ("--tol-fd", dict(type=float, default=1e-4, dest="tol_fd")),
+    "seed": ("--seed", dict(type=int, default=0)),
+    "points": ("--points", dict(type=int, default=2)),
+    "step": ("--step", dict(type=float, default=1e-3)),
+    "format": ("--format", dict(choices=("json", "csv"), default="json", dest="fmt")),
+    "out": ("--out", dict(default=None, help="write the report here instead of stdout")),
+}
+
+_OUTPUT = ("format", "out")
+_PRODUCT = ("p", "q", "factor", "factor-prime")
+
+# command -> (help, the _FLAGS keys it reads, runner returning (checks, info))
+COMMANDS = {
+    "verify-factor": ("Sasakian structure and identity suite",
+                      ("p", "factor", "tol-algebraic", *_OUTPUT), _run_verify_factor),
+    "verify-product": ("product structure checks",
+                       (*_PRODUCT, "a", "b", "tol-algebraic", *_OUTPUT), _run_verify_product),
+    "einstein": ("Einstein verdict for one parameter point",
+                 (*_PRODUCT, "a", "b", "tol-algebraic", *_OUTPUT), _run_einstein),
+    "scan": ("grid scan over (a, b)",
+             (*_PRODUCT, "a-grid", "b-grid", "check", "tol-algebraic", *_OUTPUT), _run_scan),
+    "oracle-compare": ("finite-difference oracle comparison",
+                       (*_PRODUCT, "a", "b", "tol-fd", "seed", "points", "step", *_OUTPUT),
+                       _run_oracle_compare),
+    "example": ("build and verify a sphere-product Einstein example",
+                ("p", "q", "tol-algebraic", *_OUTPUT), _run_example),
+}
 
 
 @functools.cache
@@ -523,29 +477,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Verify Hermitian structures on products of Sasakian manifolds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_factor = sub.add_parser("verify-factor", help="Sasakian structure and identity suite")
-    _add_common(p_factor, with_params=False)
-
-    p_product = sub.add_parser("verify-product", help="product structure checks")
-    _add_common(p_product)
-
-    p_einstein = sub.add_parser("einstein", help="Einstein verdict for one parameter point")
-    _add_common(p_einstein)
-
-    p_scan = sub.add_parser("scan", help="grid scan over (a, b)")
-    _add_common(p_scan, with_params=False)
-    p_scan.add_argument("--a", default="0", help="value or start:stop:step")
-    p_scan.add_argument("--b", default="1", help="value or start:stop:step; 0 cells are skipped")
-    p_scan.add_argument("--check", choices=("einstein", "integrability"), default="einstein")
-
-    p_oracle = sub.add_parser("oracle-compare", help="finite-difference oracle comparison")
-    _add_common(p_oracle)
-    p_oracle.add_argument("--points", type=int, default=2)
-    p_oracle.add_argument("--step", type=float, default=1e-3)
-
-    p_example = sub.add_parser("example", help="build and verify a sphere-product Einstein example")
-    _add_common(p_example, with_params=False)
+    for name, (help_text, flags, _) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for key in flags:
+            option, keywords = _FLAGS[key]
+            command.add_argument(option, **keywords)
     return parser
 
 
@@ -556,26 +492,14 @@ def _config_echo(args) -> dict:
 
 def run(args) -> Report:
     """Execute one parsed command and collect its report."""
-    for flag, tol in (("--tol-algebraic", args.tol_algebraic), ("--tol-fd", args.tol_fd)):
-        if not (math.isfinite(tol) and tol > 0.0):
+    for dest, tol in vars(args).items():
+        if dest.startswith("tol_") and not (math.isfinite(tol) and tol > 0.0):
+            flag = "--" + dest.replace("_", "-")
             raise InvalidParameterError(f"tolerances must be positive and finite, got {flag} {tol}")
     start = time.perf_counter()
     report = Report(config=_config_echo(args))
     try:
-        if args.command == "verify-factor":
-            report.checks = _run_verify_factor(args)
-        elif args.command == "verify-product":
-            report.checks = _run_verify_product(args)
-        elif args.command == "einstein":
-            report.checks, report.info = _run_einstein(args)
-        elif args.command == "scan":
-            report.checks = _run_scan(args)
-        elif args.command == "oracle-compare":
-            report.checks = _run_oracle_compare(args)
-        elif args.command == "example":
-            report.checks, report.info = _run_example(args)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise InvalidParameterError(f"unknown command {args.command!r}")
+        report.checks, report.info = COMMANDS[args.command][2](args)
     except GeometryError:
         raise
     except (np.linalg.LinAlgError, FloatingPointError, ValueError) as exc:

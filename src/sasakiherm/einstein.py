@@ -11,7 +11,7 @@ of odd spheres.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -36,25 +36,11 @@ class StructuralConditions:
     factor_einstein: bool
     factor_prime_eta_einstein: bool
 
-    def all_hold(self) -> bool:
-        return (
-            self.a_is_zero
-            and self.p_equals_b2q
-            and self.factor_einstein
-            and self.factor_prime_eta_einstein
-        )
-
     def failing(self) -> tuple[str, ...]:
-        return tuple(
-            name
-            for name in (
-                "a_is_zero",
-                "p_equals_b2q",
-                "factor_einstein",
-                "factor_prime_eta_einstein",
-            )
-            if not getattr(self, name)
-        )
+        return tuple(f.name for f in fields(self) if not getattr(self, f.name))
+
+    def all_hold(self) -> bool:
+        return not self.failing()
 
 
 @dataclass(frozen=True)

@@ -131,10 +131,14 @@ def _pairwise_rotation(p: int) -> np.ndarray:
 
 
 def _space_form_curvature(g, phi, eta, c) -> np.ndarray:
-    """Covariant curvature of constant phi-holomorphic sectional curvature c."""
+    """Covariant curvature of constant phi-holomorphic sectional curvature c.
+
+    The literals are integers, so ``Fraction`` object arrays and ``c``
+    give the curvature in exact arithmetic and floats give it in floats.
+    """
     gphi = phi.T @ g  # entries g(phi e_x, e_y)
-    coeff_round = (c + 3.0) / 4.0
-    coeff_phi = (c - 1.0) / 4.0
+    coeff_round = (c + 3) / 4
+    coeff_phi = (c - 1) / 4
     gg = np.einsum("yz,xw->xyzw", g, g) - np.einsum("xz,yw->xyzw", g, g)
     ee = (
         np.einsum("x,z,yw->xyzw", eta, eta, g)
@@ -145,7 +149,7 @@ def _space_form_curvature(g, phi, eta, c) -> np.ndarray:
     pp = (
         np.einsum("yz,xw->xyzw", gphi, gphi)
         - np.einsum("xz,yw->xyzw", gphi, gphi)
-        - 2.0 * np.einsum("xy,zw->xyzw", gphi, gphi)
+        - 2 * np.einsum("xy,zw->xyzw", gphi, gphi)
     )
     return coeff_round * gg + coeff_phi * (ee + pp)
 
@@ -190,51 +194,27 @@ def space_form_ricci_coefficients(q, c):
 def space_form_ricci_exact(q: int, c: Fraction) -> tuple[Fraction, Fraction]:
     """Trace the space-form curvature in exact rational arithmetic.
 
-    Builds every curvature entry as a :class:`fractions.Fraction` and
-    contracts the middle slots against the identity metric, returning
-    the exact ``(g_coeff, eta_coeff)`` of the resulting Ricci tensor.
-    Independent of the floating-point path.
+    Runs the curvature formula of :func:`make_space_form_model` on
+    :class:`fractions.Fraction` object arrays and contracts the middle
+    slots against the identity metric, returning the exact
+    ``(g_coeff, eta_coeff)`` of the resulting Ricci tensor.  No floating
+    point enters.
     """
-    c = Fraction(c)
     dim = 2 * q + 1
-    phi = _pairwise_rotation(q)
-    coeff_round = (c + 3) / 4
-    coeff_phi = (c - 1) / 4
-
-    def gm(a, b):
-        return Fraction(1 if a == b else 0)
-
-    def et(a):
-        return Fraction(1 if a == dim - 1 else 0)
-
-    def gphi(a, b):
-        return Fraction(int(phi.T[a, b]))
-
-    def entry(x, y, z, w):
-        gg = gm(y, z) * gm(x, w) - gm(x, z) * gm(y, w)
-        ee = (
-            et(x) * et(z) * gm(y, w)
-            - et(y) * et(z) * gm(x, w)
-            + gm(x, z) * et(y) * et(w)
-            - gm(y, z) * et(x) * et(w)
+    g = np.eye(dim, dtype=int).astype(object)
+    eta = np.zeros(dim, dtype=int).astype(object)
+    eta[-1] = 1
+    phi = _pairwise_rotation(q).astype(int).astype(object)
+    ricci = np.einsum("xiiw->xw", _space_form_curvature(g, phi, eta, Fraction(c)))
+    g_coeff = ricci[0, 0]
+    eta_coeff = ricci[-1, -1] - g_coeff
+    expected = g_coeff * g + eta_coeff * np.outer(eta, eta)
+    mismatches = np.argwhere(ricci != expected)
+    if mismatches.size:
+        x, w = mismatches[0]
+        raise ArithmeticError(
+            f"exact Ricci entry ({x},{w}) is not eta-Einstein: {ricci[x, w]} != {expected[x, w]}"
         )
-        pp = (
-            gphi(y, z) * gphi(x, w)
-            - gphi(x, z) * gphi(y, w)
-            - 2 * gphi(x, y) * gphi(z, w)
-        )
-        return coeff_round * gg + coeff_phi * (ee + pp)
-
-    ricci = [[sum(entry(x, i, i, w) for i in range(dim)) for w in range(dim)] for x in range(dim)]
-    g_coeff = ricci[0][0]
-    eta_coeff = ricci[dim - 1][dim - 1] - g_coeff
-    for x in range(dim):
-        for w in range(dim):
-            expected = g_coeff * gm(x, w) + eta_coeff * et(x) * et(w)
-            if ricci[x][w] != expected:
-                raise ArithmeticError(
-                    f"exact Ricci entry ({x},{w}) is not eta-Einstein: {ricci[x][w]} != {expected}"
-                )
     return g_coeff, eta_coeff
 
 

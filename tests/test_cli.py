@@ -1,15 +1,19 @@
 """Command-line interface: reports, formats, exit codes, determinism."""
 
+import argparse
 import csv
 import io
 import json
 import math
+import re
 import shlex
 from pathlib import Path
 
 import pytest
 
 from sasakiherm.cli import (
+    _FLAGS,
+    COMMANDS,
     CheckRecord,
     Report,
     build_parser,
@@ -31,6 +35,27 @@ def readme_cli_commands():
     block = text.split("## Command-line interface", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
     lines = block.replace("\\\n", " ").splitlines()
     return [shlex.split(line)[1:] for line in lines if line.startswith("sasakiherm ")]
+
+
+def readme_flag_table():
+    """The README's command -> flags table, as sets of option strings."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Command-line interface", 1)[1].split("## Layout", 1)[0]
+    rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| `")]
+    return {
+        command.strip().strip("`"): set(re.findall(r"`(--[\w-]+)`", flags))
+        for command, flags in rows
+    }
+
+
+def parser_flags():
+    """Each subcommand of the parser with the option strings it accepts, help aside."""
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: {option for action in command._actions for option in action.option_strings}
+        - {"-h", "--help"}
+        for name, command in sub.choices.items()
+    }
 
 
 def run_cli(argv, capsys):
@@ -294,11 +319,42 @@ class TestExitCodes:
         assert "cannot write" in err
 
 
+class TestFlags:
+    @pytest.mark.parametrize(
+        "command,flag,value",
+        [
+            ("verify-factor", "--q", "1"),
+            ("verify-factor", "--factor-prime", "round"),
+            ("example", "--factor", "round"),
+            ("example", "--factor-prime", "space-form:-1"),
+            ("oracle-compare", "--tol-algebraic", "1e-30"),
+            *[
+                (command, flag, value)
+                for command in ("verify-factor", "verify-product", "einstein", "scan", "example")
+                for flag, value in (("--seed", "5"), ("--tol-fd", "1e-9"))
+            ],
+        ],
+    )
+    def test_flag_the_command_never_reads_is_usage_error(self, capsys, command, flag, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, flag, value])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+    def test_parser_accepts_exactly_the_command_table_flags(self):
+        assert parser_flags() == {
+            name: {_FLAGS[key][0] for key in flags} for name, (_, flags, _) in COMMANDS.items()
+        }
+
+    def test_readme_flag_table_matches_parser(self):
+        assert readme_flag_table() == parser_flags()
+
+
 class TestDeterminism:
     def test_identical_config_and_checks(self, capsys):
         argv = [
             "verify-product", "--p", "1", "--q", "2",
-            "--a", "0.3", "--b", "1.2", "--seed", "11",
+            "--a", "0.3", "--b", "1.2",
         ]
         outputs = []
         for _ in range(2):
