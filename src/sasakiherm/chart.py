@@ -66,67 +66,67 @@ class StencilConfig:
             raise InvalidParameterError(f"stencil step must be positive and finite, got {self.step}")
 
 
-_CENTRAL_WEIGHTS = ((2, -1.0), (1, 8.0), (-1, -8.0), (-2, 1.0))  # over 12 h
+# The order-4 central stencil of a first derivative, as unit offsets and
+# weights over 12 h, and its tensor product with itself, over (12 h)^2,
+# for second derivatives: 16 offsets along two axes, or along one axis
+# the 9 distinct offset sums with their weights added up.
+_OFFSETS = np.array([2.0, 1.0, -1.0, -2.0])
+_WEIGHTS = np.array([-1.0, 8.0, -8.0, 1.0])
+_FIRST = (_OFFSETS[:, None], _WEIGHTS, 1)
+_MIXED = (
+    np.stack(np.meshgrid(_OFFSETS, _OFFSETS, indexing="ij"), axis=-1).reshape(-1, 2),
+    np.outer(_WEIGHTS, _WEIGHTS).ravel(),
+    2,
+)
+_PURE = (
+    np.arange(4.0, -5.0, -1.0)[:, None],
+    np.bincount((4.0 - _MIXED[0].sum(axis=1)).astype(int), weights=_MIXED[1]),
+    2,
+)
 
 
-def _central(f: Callable, u: np.ndarray, axis: int, h: float) -> np.ndarray:
-    total = 0.0
-    for a, w in _CENTRAL_WEIGHTS:
-        step = np.zeros_like(u)
-        step[axis] = a * h
-        total = total + w * np.asarray(f(u + step))
-    return total / (12.0 * h)
+def _richardson(f: Callable, u: np.ndarray, axes: list, stencil: tuple, h: float) -> np.ndarray:
+    """One stencil at ``h/2`` and ``h``, Richardson-extrapolated one order higher.
 
-
-def _richardson(stencil: Callable, f: Callable, u: np.ndarray, *axes: int, h: float) -> np.ndarray:
-    """An order-4 stencil at ``h/2`` and ``h``, Richardson-extrapolated one order higher."""
-    return (16.0 * stencil(f, u, *axes, h / 2.0) - stencil(f, u, *axes, h)) / 15.0
+    The offsets of both steps are the rows of one stack, so ``f`` is
+    called once; the extrapolation is folded into the weights, which one
+    contraction applies.
+    """
+    offsets, weights, order = stencil
+    points = np.repeat(u[None, :], 2 * len(offsets), axis=0)
+    points[:, axes] += np.concatenate([offsets * (h / 2.0), offsets * h])
+    coef = np.concatenate([16.0 * weights / (6.0 * h) ** order, -weights / (12.0 * h) ** order])
+    return np.tensordot(coef / 15.0, np.asarray(f(points), dtype=float), axes=1)
 
 
 def partial_derivatives(f: Callable, u: np.ndarray, cfg: StencilConfig) -> np.ndarray:
-    """All first partials of an array-valued field.
+    """All first partials of a field that maps ``(..., n)`` points to ``(..., *shape)``.
 
     Returns ``out[i] = d f / d u_i``: the order-4 central stencil at
-    ``h`` and ``h/2``, Richardson-extrapolated one order higher.  The
-    field is never evaluated at ``u`` itself.
+    ``h`` and ``h/2``, Richardson-extrapolated one order higher, with the
+    8 offsets of one axis evaluated in one call.  The field is never
+    evaluated at ``u`` itself.
     """
     u = np.asarray(u, dtype=float)
-    return np.stack([_richardson(_central, f, u, i, h=cfg.step) for i in range(u.size)])
-
-
-def _central_pair(f: Callable, u: np.ndarray, i: int, j: int, h: float) -> np.ndarray:
-    """The order-4 central stencil along ``u_i`` applied to the one along ``u_j``.
-
-    For ``i == j`` the tensor product places several weights on the same
-    point; each distinct point is evaluated once.
-    """
-    weights: dict[tuple[int, int], float] = {}
-    for a, wa in _CENTRAL_WEIGHTS:
-        for b, wb in _CENTRAL_WEIGHTS:
-            key = (a + b, 0) if i == j else (a, b)
-            weights[key] = weights.get(key, 0.0) + wa * wb
-    total = 0.0
-    for (a, b), w in weights.items():
-        step = np.zeros_like(u)
-        step[i] += a * h
-        step[j] += b * h
-        total = total + w * np.asarray(f(u + step))
-    return total / (144.0 * h * h)
+    return np.stack([_richardson(f, u, [i], _FIRST, cfg.step) for i in range(u.size)])
 
 
 def second_partial_derivatives(f: Callable, u: np.ndarray, cfg: StencilConfig) -> np.ndarray:
-    """All second partials of an array-valued field.
+    """All second partials of a field that maps ``(..., n)`` points to ``(..., *shape)``.
 
-    Returns ``out[i, j] = d^2 f / du_i du_j``: one tensor-product stencil
-    per unordered pair ``i <= j`` at ``h`` and ``h/2``, Richardson-
-    extrapolated like :func:`partial_derivatives`.
+    Returns ``out[i, j] = d^2 f / du_i du_j``: the first-derivative
+    stencil along ``u_i`` applied to the one along ``u_j``, at ``h`` and
+    ``h/2`` and Richardson-extrapolated like :func:`partial_derivatives`.
+    Each unordered pair ``i <= j`` is one call: 32 offsets, or 18 for
+    ``i == j``, where coinciding offsets are evaluated once.
     """
     u = np.asarray(u, dtype=float)
     n = u.size
     out: list[list] = [[None] * n for _ in range(n)]
     for i in range(n):
-        for j in range(i, n):
-            out[i][j] = out[j][i] = _richardson(_central_pair, f, u, i, j, h=cfg.step)
+        out[i][i] = _richardson(f, u, [i], _PURE, cfg.step)
+        for j in range(i + 1, n):
+            out[i][j] = out[j][i] = _richardson(f, u, [i, j], _MIXED, cfg.step)
     return np.array(out)
 
 
@@ -186,35 +186,38 @@ class SphereChart:
 
 
 def _check_coords(chart: SphereChart, u: np.ndarray) -> np.ndarray:
+    """``u`` as a float array of ``(..., dim)`` chart points, every one inside the domain."""
     u = np.asarray(u, dtype=float)
-    if u.shape != (chart.dim,):
+    if u.ndim == 0 or u.shape[-1] != chart.dim:
         raise ChartDomainError(f"expected {chart.dim} coordinates, got shape {u.shape}")
-    if not np.all(np.isfinite(u)) or float(u @ u) > _MAX_CHART_RADIUS**2:
+    # a non-finite coordinate makes its squared radius inf or nan, and fails too
+    if not np.all(np.einsum("...i,...i->...", u, u) <= _MAX_CHART_RADIUS**2):
         raise ChartDomainError("coordinates too close to the projection singularity")
     return u
 
 
-def _stereographic(chart: SphereChart, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Sphere point, Jacobian and conformal factor ``2 / (1 + |u|^2)`` at ``u``."""
+def _stereographic(chart: SphereChart, u: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Sphere points, Jacobians and conformal factors ``2 / (1 + |u|^2)`` at ``(..., dim)`` points."""
     u = _check_coords(chart, u)
     n = chart.dim
-    r2 = float(u @ u)
+    r2 = np.einsum("...i,...i->...", u, u)[..., None]
     s = 1.0 + r2
-    raw = np.concatenate([2.0 * u, [chart.direction * (1.0 - r2)]]) / s
-    jac = np.zeros((n + 1, n))
-    jac[:n, :] = 2.0 * np.eye(n) / s - 4.0 * np.outer(u, u) / s**2
-    jac[n, :] = -4.0 * chart.direction * u / s**2
-    return chart.rotation @ raw, chart.rotation @ jac, 2.0 / s
+    raw = np.concatenate([2.0 * u, chart.direction * (1.0 - r2)], axis=-1) / s
+    jac = np.empty(u.shape[:-1] + (n + 1, n))
+    uu = u[..., :, None] * u[..., None, :]
+    jac[..., :n, :] = 2.0 * np.eye(n) / s[..., None] - 4.0 * uu / s[..., None] ** 2
+    jac[..., n, :] = -4.0 * chart.direction * u / s**2
+    return np.einsum("ab,...b->...a", chart.rotation, raw), chart.rotation @ jac, 2.0 / s[..., 0]
 
 
 def embed(chart: SphereChart, u: np.ndarray) -> np.ndarray:
-    """Chart point mapped onto the unit sphere in ambient coordinates."""
+    """Chart points ``(..., dim)`` mapped onto the unit sphere in ambient coordinates."""
     return _stereographic(chart, u)[0]
 
 
 @dataclass(frozen=True)
 class SasakianChartFields:
-    """Pointwise Sasakian data in chart coordinates."""
+    """Sasakian data in chart coordinates, with the leading axes of the points."""
 
     metric: np.ndarray
     xi: np.ndarray
@@ -223,7 +226,7 @@ class SasakianChartFields:
 
 
 def canonical_sasakian_fields(chart: SphereChart, u: np.ndarray) -> SasakianChartFields:
-    """Canonical Sasakian structure of the unit sphere at a chart point.
+    """Canonical Sasakian structure of the unit sphere at ``(..., dim)`` chart points.
 
     The Reeb field is minus the ambient complex structure applied to
     the position; ``phi`` is the tangential projection of the ambient
@@ -232,10 +235,12 @@ def canonical_sasakian_fields(chart: SphereChart, u: np.ndarray) -> SasakianChar
     ``scale``.
     """
     x, jac, factor = _stereographic(chart, u)
-    scale = factor * factor
-    eta = jac.T @ -(chart.j0 @ x)
-    phi = jac.T @ (chart.j0 @ jac) / scale
-    return SasakianChartFields(metric=scale * np.eye(chart.dim), xi=eta / scale, eta=eta, phi=phi)
+    scale = (factor * factor)[..., None]
+    eta = np.einsum("...a,...ai->...i", x @ chart.j0, jac)  # -J0 x, as j0 is antisymmetric
+    phi = np.swapaxes(jac, -1, -2) @ (chart.j0 @ jac) / scale[..., None]
+    return SasakianChartFields(
+        metric=scale[..., None] * np.eye(chart.dim), xi=eta / scale, eta=eta, phi=phi
+    )
 
 
 @dataclass(frozen=True)
@@ -262,12 +267,13 @@ class FactorChart:
         return self.chart.dim
 
     def fields(self, u: np.ndarray) -> SasakianChartFields:
+        """The deformed fields at ``(..., dim)`` chart points."""
         raw = canonical_sasakian_fields(self.chart, u)
         metric, xi, eta = d_homothetic_structure(raw.metric, raw.xi, raw.eta, self.alpha)
         return SasakianChartFields(metric=metric, xi=xi, eta=eta, phi=raw.phi)
 
     def metric_at(self, u: np.ndarray) -> np.ndarray:
-        """Metric field value at a chart point."""
+        """Metric field values at ``(..., dim)`` chart points."""
         return self.fields(u).metric
 
     def metric_field(self) -> Callable[[np.ndarray], np.ndarray]:
@@ -365,46 +371,6 @@ def _nijenhuis(j: np.ndarray, dj: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _field_memo(factor_chart: FactorChart) -> Callable[[np.ndarray], SasakianChartFields]:
-    """``factor_chart.fields`` evaluated once per distinct chart point.
-
-    Entries are keyed on the shape and exact bytes of the coordinates, so
-    a hit returns what a fresh evaluation would, and every new point is
-    validated by the evaluation itself.  Cached arrays are read-only.
-    """
-    cache: dict[tuple, SasakianChartFields] = {}
-
-    def fields(u: np.ndarray) -> SasakianChartFields:
-        u = np.asarray(u, dtype=float)
-        key = (u.shape, u.tobytes())
-        found = cache.get(key)
-        if found is None:
-            found = cache[key] = factor_chart.fields(u)
-            for value in vars(found).values():
-                value.setflags(write=False)
-        return found
-
-    return fields
-
-
-def _product_fields(
-    fields1: Callable, fields2: Callable, m: int, params: HermitianParams
-) -> tuple[Callable, Callable]:
-    """``(g_bar(u), J_bar(u))`` from factor-field functions of ``u[:m]`` and ``u[m:]``."""
-
-    def metric_fn(u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        f1, f2 = fields1(u[:m]), fields2(u[m:])
-        return product_metric(f1.metric, f1.eta, f2.metric, f2.eta, params)
-
-    def j_fn(u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        f1, f2 = fields1(u[:m]), fields2(u[m:])
-        return product_complex_structure(f1.phi, f1.xi, f1.eta, f2.phi, f2.xi, f2.eta, params)
-
-    return metric_fn, j_fn
-
-
 def product_field_functions(
     factor_chart: FactorChart,
     factor_chart_prime: FactorChart,
@@ -413,14 +379,24 @@ def product_field_functions(
     """Coordinate-field closures ``(g_bar(u), J_bar(u))`` on the product chart.
 
     Both apply the block formulas of :mod:`sasakiherm.product` to the
-    factor fields at ``u``; nothing else of the closed-form engine
-    enters.  The pair shares one memo per factor, so each factor's
-    fields are evaluated once per distinct factor point for as long as
-    the closures live.
+    factor fields at ``u[..., :m]`` and ``u[..., m:]``; nothing else of the
+    closed-form engine enters.  A ``(k, dim)`` stack of points gives a
+    stack of values, with each factor's fields evaluated once on its slice
+    of the stack.
     """
-    return _product_fields(
-        _field_memo(factor_chart), _field_memo(factor_chart_prime), factor_chart.dim, params
-    )
+    m = factor_chart.dim
+
+    def metric_fn(u: np.ndarray) -> np.ndarray:
+        u = np.asarray(u, dtype=float)
+        f1, f2 = factor_chart.fields(u[..., :m]), factor_chart_prime.fields(u[..., m:])
+        return product_metric(f1.metric, f1.eta, f2.metric, f2.eta, params)
+
+    def j_fn(u: np.ndarray) -> np.ndarray:
+        u = np.asarray(u, dtype=float)
+        f1, f2 = factor_chart.fields(u[..., :m]), factor_chart_prime.fields(u[..., m:])
+        return product_complex_structure(f1.phi, f1.xi, f1.eta, f2.phi, f2.xi, f2.eta, params)
+
+    return metric_fn, j_fn
 
 
 def sample_chart_points(
@@ -530,14 +506,14 @@ def compare_with_algebraic(
     comparable entry-by-entry with the closed-form tensors.  Connection
     blocks, the integrability residual and the Nijenhuis tensor are
     checked in coordinates; the last two share one stencil of ``J_bar``
-    with ``nabla J``.  Every stencil reads the factor fields through one
-    memo per factor, so each distinct factor point is evaluated once.
+    with ``nabla J``.  Each stencil evaluates the factor fields on the
+    stack of its offsets, one call per factor.
     """
     cfg = cfg or StencilConfig()
     coords = np.asarray(coords, dtype=float)
     m = factor_chart.dim
-    fields1, fields2 = _field_memo(factor_chart), _field_memo(factor_chart_prime)
-    metric_fn, j_fn = _product_fields(fields1, fields2, m, params)
+    metric_fn, j_fn = product_field_functions(factor_chart, factor_chart_prime, params)
+    fields1, fields2 = factor_chart.fields, factor_chart_prime.fields
     f1 = fields1(coords[:m])
     f2 = fields2(coords[m:])
     g_bar = product_metric(f1.metric, f1.eta, f2.metric, f2.eta, params)

@@ -45,7 +45,6 @@ from .errors import GeometryError, InvalidParameterError
 from .product import (
     HermitianParams,
     build_product_model,
-    build_product_ricci,
     check_integrability,
     check_not_kahler,
     check_weakly_star_einstein,
@@ -335,8 +334,7 @@ def _run_einstein(args) -> tuple[list[CheckRecord], dict]:
     verdict = einstein_verdict(factor, factor_prime, params, tol=tol)
     # g(xi, xi) of the product metric is the entry of the first factor's metric
     reeb = factor.dim - 1
-    ricci_bar = build_product_ricci(factor, factor_prime, params)
-    reeb_value = ricci_bar[reeb, reeb] / factor.g[reeb, reeb]
+    reeb_value = verdict.ricci_bar[reeb, reeb] / factor.g[reeb, reeb]
     checks = [
         CheckRecord("einstein_residual",
                     f"ricci = lambda g with lambda fitted as tau/N = {verdict.einstein_constant!r}",

@@ -11,7 +11,7 @@ of odd spheres.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -50,7 +50,8 @@ class EinsteinVerdict:
     ``einstein_constant`` is fitted as the scalar curvature divided by
     the dimension, never assumed; on Einstein members it equals ``2 p``.
     ``agreement`` records that the residual and structural routes
-    concur (construction fails otherwise).
+    concur (construction fails otherwise).  ``ricci_bar`` is the product
+    Ricci tensor the residual route judged.
     """
 
     is_einstein: bool
@@ -58,6 +59,7 @@ class EinsteinVerdict:
     residual: float
     conditions: StructuralConditions
     agreement: bool
+    ricci_bar: np.ndarray = field(compare=False, repr=False)
 
     def failing_conditions(self) -> tuple[str, ...]:
         return self.conditions.failing()
@@ -136,6 +138,7 @@ def einstein_verdict(
         residual=residual,
         conditions=conditions,
         agreement=True,
+        ricci_bar=ricci_bar,
     )
 
 

@@ -118,17 +118,20 @@ def product_metric(
     Block form: ``g`` on the first factor, ``g' + (a^2 + b^2 - 1)
     eta' (x) eta'`` on the second, and ``a eta (x) eta'`` across.
     Positive definite exactly when ``b != 0``.  The factor arrays may
-    be adapted-frame model data or chart field values at one point.
+    be adapted-frame model data or chart field values; leading axes
+    broadcast, so a stack of chart points gives a stack of metrics.
     """
     a, b = params.a, params.b
-    m = g.shape[0]
-    dim = m + g_prime.shape[0]
-    g_bar = np.zeros((dim, dim))
-    g_bar[:m, :m] = g
-    g_bar[m:, m:] = g_prime + (a * a + b * b - 1.0) * np.outer(eta_prime, eta_prime)
-    mixed = a * np.outer(eta, eta_prime)
-    g_bar[:m, m:] = mixed
-    g_bar[m:, :m] = mixed.T
+    m = g.shape[-1]
+    dim = m + g_prime.shape[-1]
+    g_bar = np.zeros(g.shape[:-2] + (dim, dim))
+    g_bar[..., :m, :m] = g
+    g_bar[..., m:, m:] = g_prime + (a * a + b * b - 1.0) * (
+        eta_prime[..., :, None] * eta_prime[..., None, :]
+    )
+    mixed = a * (eta[..., :, None] * eta_prime[..., None, :])
+    g_bar[..., :m, m:] = mixed
+    g_bar[..., m:, :m] = np.swapaxes(mixed, -1, -2)
     return g_bar
 
 
@@ -148,16 +151,17 @@ def product_complex_structure(
     ``J X  = phi X  - (a/b) eta(X) xi + (1/b) eta(X) xi'`` and
     ``J X' = phi' X' - ((a^2+b^2)/b) eta'(X') xi + (a/b) eta'(X') xi'``.
     Squares to minus the identity for every ``b != 0``.  The factor
-    arrays may be adapted-frame model data or chart field values.
+    arrays may be adapted-frame model data or chart field values, with
+    leading axes broadcast as in :func:`product_metric`.
     """
     a, b = params.a, params.b
-    m = phi.shape[0]
-    dim = m + phi_prime.shape[0]
-    j = np.zeros((dim, dim))
-    j[:m, :m] = phi - (a / b) * np.outer(xi, eta)
-    j[m:, :m] = (1.0 / b) * np.outer(xi_prime, eta)
-    j[:m, m:] = -((a * a + b * b) / b) * np.outer(xi, eta_prime)
-    j[m:, m:] = phi_prime + (a / b) * np.outer(xi_prime, eta_prime)
+    m = phi.shape[-1]
+    dim = m + phi_prime.shape[-1]
+    j = np.zeros(phi.shape[:-2] + (dim, dim))
+    j[..., :m, :m] = phi - (a / b) * (xi[..., :, None] * eta[..., None, :])
+    j[..., m:, :m] = (1.0 / b) * (xi_prime[..., :, None] * eta[..., None, :])
+    j[..., :m, m:] = -((a * a + b * b) / b) * (xi[..., :, None] * eta_prime[..., None, :])
+    j[..., m:, m:] = phi_prime + (a / b) * (xi_prime[..., :, None] * eta_prime[..., None, :])
     return j
 
 

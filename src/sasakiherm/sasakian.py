@@ -225,9 +225,10 @@ def d_homothetic_structure(
 
     Returns ``(alpha g + alpha (alpha - 1) eta (x) eta, xi / alpha,
     alpha eta)``; ``phi`` is unchanged.  The arrays may be adapted-frame
-    model data or chart field values at one point.
+    model data or chart field values; leading axes broadcast.
     """
-    return alpha * g + alpha * (alpha - 1.0) * np.outer(eta, eta), xi / alpha, alpha * eta
+    eta_eta = eta[..., :, None] * eta[..., None, :]
+    return alpha * g + alpha * (alpha - 1.0) * eta_eta, xi / alpha, alpha * eta
 
 
 def d_homothetic_deform(model: SasakianPointModel, alpha: float) -> SasakianPointModel:

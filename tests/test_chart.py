@@ -22,7 +22,6 @@ from sasakiherm.chart import (
     riemann_fd,
     sample_chart_points,
     second_partial_derivatives,
-    _field_memo,
     _stereographic,
 )
 from sasakiherm.einstein import calabi_eckmann_einstein_example
@@ -52,8 +51,8 @@ def round_metric(chart):
 def riemann_nested(metric_field, u, cfg):
     """Reference curvature: a stencil of the Christoffel symbols, each taken
     from a stencil of the metric at one outer stencil point."""
-    gamma_field = lambda v: christoffels_fd(metric_field, v, cfg)
-    gamma = gamma_field(u)
+    gamma_field = lambda v: np.array([christoffels_fd(metric_field, w, cfg) for w in v])
+    gamma = christoffels_fd(metric_field, u, cfg)
     dgamma = partial_derivatives(gamma_field, u, cfg)  # [d, m, j, k] = d_d Gamma^m_{jk}
     r_up = (
         np.einsum("imjk->mijk", dgamma)
@@ -71,7 +70,7 @@ def test_stencil_config_validation():
 
 
 def test_partial_derivatives_on_polynomial():
-    f = lambda u: np.array([u[0] ** 3 * u[1], np.sin(u[1])])
+    f = lambda u: np.stack([u[..., 0] ** 3 * u[..., 1], np.sin(u[..., 1])], axis=-1)
     u = np.array([0.3, -0.4])
     d = partial_derivatives(f, u, CFG)
     npt.assert_allclose(d[0], [3 * 0.3**2 * (-0.4), 0.0], atol=1e-11)
@@ -79,7 +78,10 @@ def test_partial_derivatives_on_polynomial():
 
 
 def test_second_partial_derivatives_on_polynomial():
-    f = lambda u: np.array([u[0] ** 3 * u[1], u[0] ** 2 * u[1] ** 2 * u[2] + u[2] ** 4])
+    f = lambda u: np.stack(
+        [u[..., 0] ** 3 * u[..., 1], u[..., 0] ** 2 * u[..., 1] ** 2 * u[..., 2] + u[..., 2] ** 4],
+        axis=-1,
+    )
     x, y, z = u = np.array([0.3, -0.4, 0.7])
     d2 = second_partial_derivatives(f, u, CFG)
     expected = np.array(
@@ -138,12 +140,16 @@ class TestSphereChart:
             ([1.0e7, 0.0, 0.0], [0.1, 0.1, 0.1, 1.0e7, 0.0, 0.0]),
             (np.zeros(2), np.zeros(5)),
             (np.zeros((3, 1)), np.zeros((6, 1))),
+            ([[0.1] * 3, [0.2, np.nan, 0.0]], [[0.1] * 6, [0.2, np.nan, 0.0, 0.1, 0.1, 0.1]]),
+            ([[0.1] * 3, [0.0, 1.0e7, 0.0]], [[0.1] * 6, [0.1, 0.1, 0.1, 0.0, 0.0, 1.0e7]]),
+            (np.zeros((2, 4)), np.zeros((2, 7))),
         ],
-        ids=["nan", "beyond-radius", "short", "column"],
+        ids=["nan", "beyond-radius", "short", "column",
+             "stack-nan", "stack-beyond-radius", "stack-width"],
     )
     def test_field_paths_reject_bad_coordinates(self, factor_point, product_point):
-        # the factor fields and both product closures validate through the
-        # one stereographic map
+        # the factor fields and both product closures validate every point,
+        # or every row of a stack, through the one stereographic map
         fc = FactorChart(SphereChart(4), alpha=0.5)
         metric_fn, j_fn = product_field_functions(fc, fc, HermitianParams(0.5, 1.0))
         for evaluate, point in (
@@ -277,7 +283,8 @@ class TestCanonicalFields:
 
 class TestChristoffels:
     def test_flat_metric_gives_zero(self):
-        gamma = christoffels_fd(lambda u: np.eye(3), np.array([0.1, 0.2, -0.3]), CFG)
+        flat = lambda u: np.broadcast_to(np.eye(3), u.shape[:-1] + (3, 3))
+        gamma = christoffels_fd(flat, np.array([0.1, 0.2, -0.3]), CFG)
         npt.assert_allclose(gamma, 0.0, atol=1e-12)
 
     def test_sphere_chart_origin(self):
@@ -327,19 +334,21 @@ class TestRiemannFD:
 
     @pytest.mark.parametrize("dim,evaluations", [(3, 175), (5, 451)])
     def test_metric_evaluations_per_call(self, dim, evaluations):
-        # the point, 8 per first partial, 32 per mixed pair and 18 distinct
-        # points per pure second partial: 1 + 8 n + 16 n (n - 1) + 18 n
-        calls = []
+        # points, counted as stack rows: the point, 8 per first partial, 32 per
+        # mixed pair and 18 distinct points per pure second partial:
+        # 1 + 8 n + 16 n (n - 1) + 18 n
+        rows = []
 
         def metric_field(u):
-            calls.append(u)
-            return np.eye(dim) + np.outer(u, u)
+            rows.append(u.reshape(-1, dim).shape[0])
+            return np.eye(dim) + u[..., :, None] * u[..., None, :]
 
         riemann_fd(metric_field, np.full(dim, 0.1), CFG)
-        assert len(calls) == evaluations
+        assert sum(rows) == evaluations
 
     def test_flat_chart_curvature_vanishes(self):
-        riemann = riemann_fd(lambda u: np.eye(4), np.full(4, 0.2), CFG)
+        flat = lambda u: np.broadcast_to(np.eye(4), u.shape[:-1] + (4, 4))
+        riemann = riemann_fd(flat, np.full(4, 0.2), CFG)
         npt.assert_allclose(riemann, 0.0, atol=1e-8)
 
     def test_five_sphere_is_einstein(self, rng):
@@ -394,70 +403,81 @@ class TestProductFields:
 
 @pytest.fixture
 def field_calls(monkeypatch):
-    """Points at which ``FactorChart.fields`` is evaluated, in call order."""
+    """Coordinates passed to ``FactorChart.fields``, one entry per call."""
     calls = []
     fields = FactorChart.fields
     monkeypatch.setattr(FactorChart, "fields", lambda self, u: calls.append(u) or fields(self, u))
     return calls
 
 
-class TestFieldMemo:
-    def test_factor_field_evaluations_per_comparison(self, field_calls, rng):
-        # N = 6: per 3-dimensional factor the point, 12 distinct offsets on each
-        # axis and 28 distinct points per mixed pair, 1 + 36 + 84 = 121; the
-        # cross pairs and the factor Christoffel stencils reuse them all
+def _rows(u):
+    """Number of chart points in one point or a ``(k, n)`` stack."""
+    return 1 if np.ndim(u) == 1 else len(u)
+
+
+class TestStencilBatches:
+    def test_batch_matches_row_by_row(self, rng):
+        params = HermitianParams(-0.7, 1.3)
+        for pole, direction in ((None, 1), (None, -1), ("rotated", 1), ("rotated", -1)):
+            charts = []
+            for ambient in (4, 6):
+                axis = rng.normal(size=ambient) if pole else None
+                charts.append(SphereChart(
+                    ambient, pole=None if axis is None else axis / np.linalg.norm(axis),
+                    direction=direction,
+                ))
+            for alpha in (1.0, 0.5, 2.5):
+                fc1, fc2 = FactorChart(charts[0], alpha=alpha), FactorChart(charts[1], alpha=alpha)
+                stack = sample_chart_points(rng, 3, count=6)
+                npt.assert_allclose(
+                    embed(charts[0], stack), [embed(charts[0], u) for u in stack], rtol=1e-14
+                )
+                for evaluate in (lambda u: canonical_sasakian_fields(charts[0], u), fc1.fields):
+                    batch, rows = evaluate(stack), [evaluate(u) for u in stack]
+                    for name in ("metric", "xi", "eta", "phi"):
+                        npt.assert_allclose(
+                            getattr(batch, name), [getattr(f, name) for f in rows], rtol=1e-14
+                        )
+                stack = sample_chart_points(rng, 8, count=6)
+                metric_fn, j_fn = product_field_functions(fc1, fc2, params)
+                for evaluate in (metric_fn, j_fn):
+                    npt.assert_allclose(evaluate(stack), [evaluate(u) for u in stack], rtol=1e-14)
+                # each row is the shared block formula of the factor fields
+                f1, f2 = fc1.fields(stack[0, :3]), fc2.fields(stack[0, 3:])
+                assert np.array_equal(
+                    metric_fn(stack[0]), product_metric(f1.metric, f1.eta, f2.metric, f2.eta, params)
+                )
+                assert np.array_equal(
+                    j_fn(stack[0]),
+                    product_complex_structure(f1.phi, f1.xi, f1.eta, f2.phi, f2.xi, f2.eta, params),
+                )
+
+    def test_one_call_per_axis_and_per_pair(self):
+        # the chunk sizes bound the memory of a stencil: one axis or one pair
+        rows = []
+
+        def field(u):
+            rows.append(_rows(u))
+            return np.sin(u)
+
+        partial_derivatives(field, np.full(4, 0.1), CFG)
+        assert rows == [8] * 4
+        rows.clear()
+        second_partial_derivatives(field, np.full(3, 0.1), CFG)
+        assert rows == [18, 32, 32, 18, 32, 18]
+
+    def test_factor_field_calls_per_comparison(self, field_calls, rng):
+        # N = 6: both factors at the point (2), then one call per factor for
+        # each of 6 axes of g_bar (12), 21 pairs of g_bar (42) and 6 axes of
+        # J_bar (12), and one for each of 3 axes per factor metric (6)
         model = build_product_model(
             make_round_sphere_model(1), make_round_sphere_model(1), HermitianParams(0.5, 1.0)
         )
         fc = FactorChart(SphereChart(4))
         point = sample_chart_points(rng, 6, count=1)[0]
         compare_with_algebraic(fc, fc, HermitianParams(0.5, 1.0), model, point, CFG)
-        assert len(field_calls) == 242
-
-    def test_memoized_fields_match_fresh_evaluation(self, rng):
-        fc1, fc2 = FactorChart(SphereChart(4), alpha=0.5), FactorChart(SphereChart(6))
-        params = HermitianParams(-0.7, 1.3)
-        metric_fn, j_fn = product_field_functions(fc1, fc2, params)
-        point = sample_chart_points(rng, 8, count=1)[0]
-        # stencil points along either factor share the other factor's slice
-        steps = [np.zeros(8)] + [CFG.step * k * np.eye(8)[axis] for axis in (0, 5) for k in (1, -2)]
-        for _ in range(2):
-            for step in steps:
-                u = point + step
-                f1, f2 = fc1.fields(u[:3]), fc2.fields(u[3:])
-                assert np.array_equal(
-                    metric_fn(u), product_metric(f1.metric, f1.eta, f2.metric, f2.eta, params)
-                )
-                assert np.array_equal(
-                    j_fn(u),
-                    product_complex_structure(f1.phi, f1.xi, f1.eta, f2.phi, f2.xi, f2.eta, params),
-                )
-
-    def test_cached_arrays_are_read_only(self):
-        fields = _field_memo(FactorChart(SphereChart(4), alpha=0.5))
-        cached = fields(np.full(3, 0.1))
-        for value in (cached.metric, cached.xi, cached.eta, cached.phi):
-            with pytest.raises(ValueError, match="read-only"):
-                value[0] = 1.0
-        assert fields(np.full(3, 0.1)) is cached
-
-    def test_closure_pairs_share_no_entries(self, field_calls, rng):
-        point = sample_chart_points(rng, 6, count=1)[0]
-        round_chart, deformed = FactorChart(SphereChart(4)), FactorChart(SphereChart(4), alpha=0.5)
-        pairs = (
-            (round_chart, HermitianParams(0.0, 1.0)),
-            (round_chart, HermitianParams(0.5, 2.0)),
-            (deformed, HermitianParams(0.5, 2.0)),
-        )
-        for fc, params in pairs:
-            metric_fn, _ = product_field_functions(fc, fc, params)
-            f1, f2 = fc.fields(point[:3]), fc.fields(point[3:])
-            expected = product_metric(f1.metric, f1.eta, f2.metric, f2.eta, params)
-            before = len(field_calls)
-            for _ in range(2):
-                assert np.array_equal(metric_fn(point), expected)
-            # each new pair evaluates both factors afresh, then only hits
-            assert len(field_calls) - before == 2
+        assert len(field_calls) == 74
+        assert max(_rows(u) for u in field_calls) == 32
 
 
 class TestNijenhuis:
@@ -465,7 +485,8 @@ class TestNijenhuis:
         j = np.zeros((4, 4))
         j[1, 0] = j[3, 2] = 1.0
         j[0, 1] = j[2, 3] = -1.0
-        result = nijenhuis_fd(lambda u: j, np.full(4, 0.1), CFG)
+        constant = lambda u: np.broadcast_to(j, u.shape[:-1] + (4, 4))
+        result = nijenhuis_fd(constant, np.full(4, 0.1), CFG)
         npt.assert_allclose(result, 0.0, atol=1e-10)
 
     def test_product_structure_is_integrable(self, rng):
@@ -484,13 +505,14 @@ class TestNijenhuis:
         a, b = params.a, params.b
 
         def flipped_j(u):
-            f1 = fc.fields(u[:3])
-            f2 = fc.fields(u[3:])
-            j = np.zeros((6, 6))
-            j[:3, :3] = f1.phi - (a / b) * np.outer(f1.xi, f1.eta)
-            j[3:, :3] = (1.0 / b) * np.outer(f2.xi, f1.eta)
-            j[:3, 3:] = -((a * a + b * b) / b) * np.outer(f1.xi, f2.eta)
-            j[3:, 3:] = -f2.phi + (a / b) * np.outer(f2.xi, f2.eta)
+            f1 = fc.fields(u[..., :3])
+            f2 = fc.fields(u[..., 3:])
+            outer = lambda x, y: x[..., :, None] * y[..., None, :]
+            j = np.zeros(u.shape[:-1] + (6, 6))
+            j[..., :3, :3] = f1.phi - (a / b) * outer(f1.xi, f1.eta)
+            j[..., 3:, :3] = (1.0 / b) * outer(f2.xi, f1.eta)
+            j[..., :3, 3:] = -((a * a + b * b) / b) * outer(f1.xi, f2.eta)
+            j[..., 3:, 3:] = -f2.phi + (a / b) * outer(f2.xi, f2.eta)
             return j
 
         point = sample_chart_points(rng, 6, count=1)[0]
@@ -505,12 +527,13 @@ class TestNijenhuis:
         _, j_fn = product_field_functions(fc, fc, HermitianParams(0.5, 1.5))
 
         def conjugated_j(u):
-            theta = 0.7 * u[0]
-            rot = np.eye(6)
-            rot[0, 0] = rot[1, 1] = np.cos(theta)
-            rot[0, 1] = -np.sin(theta)
-            rot[1, 0] = np.sin(theta)
-            return rot @ j_fn(u) @ rot.T
+            theta = 0.7 * u[..., 0]
+            rot = np.zeros(u.shape[:-1] + (6, 6))
+            rot[...] = np.eye(6)
+            rot[..., 0, 0] = rot[..., 1, 1] = np.cos(theta)
+            rot[..., 0, 1] = -np.sin(theta)
+            rot[..., 1, 0] = np.sin(theta)
+            return rot @ j_fn(u) @ np.swapaxes(rot, -1, -2)
 
         point = sample_chart_points(rng, 6, count=1)[0]
         j = conjugated_j(point)

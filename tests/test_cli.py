@@ -7,10 +7,12 @@ import json
 import math
 import re
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
 
+import sasakiherm.product
 from sasakiherm.cli import (
     _FLAGS,
     COMMANDS,
@@ -179,6 +181,22 @@ class TestCommands:
         assert code == 1
         payload = json.loads(out)
         assert payload["summary"]["fail"] >= 1
+
+    def test_einstein_assembles_ricci_once(self, monkeypatch, capsys):
+        # the Reeb-entry check reads the Ricci tensor the verdict judged
+        calls = []
+        assemble = sasakiherm.product.build_product_ricci
+        counted = lambda *args, **kwargs: calls.append(args) or assemble(*args, **kwargs)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("sasakiherm") and vars(module).get("build_product_ricci") is assemble:
+                monkeypatch.setattr(module, "build_product_ricci", counted)
+        code, out, _ = run_cli(
+            ["einstein", "--p", "2", "--q", "2", "--a", "0.3", "--b", "1.2"], capsys
+        )
+        assert code == 1
+        assert len(calls) == 1
+        names = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert names["reeb_ricci_ratio"]["pass"] is True
 
     def test_verify_product(self, capsys):
         code, out, _ = run_cli(
