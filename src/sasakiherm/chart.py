@@ -49,6 +49,9 @@ from .tensors import (
 # small that stencil arithmetic loses all significant digits.
 _MAX_CHART_RADIUS = 1.0e6
 
+# Radius of the chart ball that oracle sample points are drawn from.
+_SAMPLE_RADIUS = 0.8
+
 
 # ---------------------------------------------------------------------------
 # stencil differentiation
@@ -139,46 +142,22 @@ def second_partial_derivatives(f: Callable, u: np.ndarray, cfg: StencilConfig) -
 class SphereChart:
     """Stereographic chart of the unit sphere in an even ambient dimension.
 
-    ``pole`` (default: the last coordinate axis) is where the chart
-    origin lands; ``direction=-1`` picks the antipodal chart.  The
-    chart covers the whole sphere except the point opposite the origin
-    image, which sits at infinite chart radius.  ``rotation`` (the
-    Householder map sending the last axis to the pole) and ``j0`` (the
-    ambient complex structure) are fixed per chart.
+    The chart origin lands on the last coordinate axis, and the chart
+    covers the whole sphere except the antipode of that point, which
+    sits at infinite chart radius.  ``j0`` (the ambient complex
+    structure) is fixed per chart.
     """
 
     ambient_dim: int
-    pole: np.ndarray | None = None
-    direction: int = 1
-    rotation: np.ndarray = field(init=False, repr=False, compare=False)
     j0: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.ambient_dim
         if n % 2 != 0 or n < 4:
             raise InvalidParameterError(f"ambient dimension must be even and >= 4, got {n}")
-        if self.direction not in (1, -1):
-            raise InvalidParameterError(f"direction must be +1 or -1, got {self.direction}")
-        rotation = np.eye(n)
-        if self.pole is not None:
-            pole = np.asarray(self.pole, dtype=float)
-            if (
-                pole.shape != (n,)
-                or not np.all(np.isfinite(pole))
-                or abs(pole @ pole - 1.0) > 1e-12
-            ):
-                raise InvalidParameterError(f"pole must be a finite unit ambient vector, got {pole}")
-            pole = np.ascontiguousarray(pole)
-            pole.setflags(write=False)
-            object.__setattr__(self, "pole", pole)
-            v = np.eye(n)[-1] - pole
-            vv = float(v @ v)
-            if vv >= 1e-30:
-                rotation = rotation - 2.0 * np.outer(v, v) / vv
         j0 = np.kron(np.eye(n // 2), [[0.0, -1.0], [1.0, 0.0]])  # pairs (x_0, x_1), ...
-        for name, value in (("rotation", rotation), ("j0", j0)):
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
+        j0.setflags(write=False)
+        object.__setattr__(self, "j0", j0)
 
     @property
     def dim(self) -> int:
@@ -202,12 +181,12 @@ def _stereographic(chart: SphereChart, u: np.ndarray) -> tuple[np.ndarray, ...]:
     n = chart.dim
     r2 = np.einsum("...i,...i->...", u, u)[..., None]
     s = 1.0 + r2
-    raw = np.concatenate([2.0 * u, chart.direction * (1.0 - r2)], axis=-1) / s
+    x = np.concatenate([2.0 * u, 1.0 - r2], axis=-1) / s
     jac = np.empty(u.shape[:-1] + (n + 1, n))
     uu = u[..., :, None] * u[..., None, :]
     jac[..., :n, :] = 2.0 * np.eye(n) / s[..., None] - 4.0 * uu / s[..., None] ** 2
-    jac[..., n, :] = -4.0 * chart.direction * u / s**2
-    return np.einsum("ab,...b->...a", chart.rotation, raw), chart.rotation @ jac, 2.0 / s[..., 0]
+    jac[..., n, :] = -4.0 * u / s**2
+    return x, jac, 2.0 / s[..., 0]
 
 
 def embed(chart: SphereChart, u: np.ndarray) -> np.ndarray:
@@ -399,13 +378,11 @@ def product_field_functions(
     return metric_fn, j_fn
 
 
-def sample_chart_points(
-    rng: np.random.Generator, dim: int, radius: float = 0.8, count: int = 1
-) -> np.ndarray:
-    """Uniform sample points in a chart ball, rows are points."""
+def sample_chart_points(rng: np.random.Generator, dim: int, count: int = 1) -> np.ndarray:
+    """Uniform sample points in the chart ball of radius ``_SAMPLE_RADIUS``, rows are points."""
     directions = rng.normal(size=(count, dim))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    radii = radius * rng.uniform(size=(count, 1)) ** (1.0 / dim)
+    radii = _SAMPLE_RADIUS * rng.uniform(size=(count, 1)) ** (1.0 / dim)
     return directions * radii
 
 
@@ -496,7 +473,7 @@ def compare_with_algebraic(
     params: HermitianParams,
     model: ProductHermitianModel,
     coords: np.ndarray,
-    cfg: StencilConfig | None = None,
+    cfg: StencilConfig,
 ) -> OracleComparison:
     """Stencil-differentiate the product fields and compare to the model.
 
@@ -509,7 +486,6 @@ def compare_with_algebraic(
     with ``nabla J``.  Each stencil evaluates the factor fields on the
     stack of its offsets, one call per factor.
     """
-    cfg = cfg or StencilConfig()
     coords = np.asarray(coords, dtype=float)
     m = factor_chart.dim
     metric_fn, j_fn = product_field_functions(factor_chart, factor_chart_prime, params)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import decimal
 import functools
 import io
 import json
@@ -186,7 +187,13 @@ def parse_factor_spec(spec: str) -> FactorSpec:
 
 
 def parse_grid(spec: str) -> list[float]:
-    """``start:stop:step`` inclusive of both ends (within 1e-12), or one value."""
+    """``start:stop:step``, or one value.
+
+    The grid is counted and stepped exactly, in decimal arithmetic on the
+    numbers as typed: its values are ``start + k * step`` for ``k = 0, 1,
+    ...`` up to ``stop``, which is included only when it lies on the grid.
+    Each value is rounded to a float once, at the end.
+    """
     parts = spec.split(":")
     if len(parts) not in (1, 3):
         raise InvalidParameterError(f"grid spec must be start:stop:step, got {spec!r}")
@@ -198,20 +205,13 @@ def parse_grid(spec: str) -> list[float]:
         raise InvalidParameterError(f"grid spec {spec!r} needs finite numbers")
     if len(numbers) == 1:
         return numbers
-    start, stop, step = numbers
-    if step <= 0.0 or stop < start:
-        raise InvalidParameterError(f"bad grid spec {spec!r}")
-    values = []
-    k = 0
-    while True:
-        value = start + k * step
-        if value > stop + 1e-12:
-            break
-        values.append(round(value, 12))
-        k += 1
-    if not values:
-        raise InvalidParameterError(f"empty grid {spec!r}")
-    return values
+    with decimal.localcontext() as exact:
+        exact.prec = decimal.MAX_PREC  # +, * and // of finite decimals never round
+        start, stop, step = (decimal.Decimal(x) for x in parts)
+        if numbers[2] <= 0.0 or stop < start:  # a step that is 0.0 as a float too
+            raise InvalidParameterError(f"bad grid spec {spec!r}")
+        count = int((stop - start) // step) + 1
+        return [float(start + k * step) for k in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +402,8 @@ def _run_scan(args) -> tuple[list[CheckRecord], dict]:
 def _run_oracle_compare(args) -> tuple[list[CheckRecord], dict]:
     if args.points < 1:
         raise InvalidParameterError(f"need at least one sample point, got --points {args.points}")
+    if args.seed < 0:
+        raise InvalidParameterError(f"seed must be non-negative, got --seed {args.seed}")
     spec, spec_prime = parse_factor_spec(args.factor), parse_factor_spec(args.factor_prime)
     factor, factor_prime = spec(args.p), spec_prime(args.q)  # validates the phi-pair counts
     factor_chart = FactorChart(SphereChart(2 * args.p + 2), alpha=spec.chart_alpha)

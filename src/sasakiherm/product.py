@@ -16,6 +16,7 @@ its Reeb vector at index ``2p``; the second factor occupies
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,8 @@ class HermitianParams:
     """The pair (a, b) selecting one member of the structure family.
 
     ``b = 0`` is rejected outright: the complex structure divides by
-    ``b`` and the metric degenerates there.
+    ``b`` and the metric degenerates there.  So is a pair whose
+    ``a^2 + b^2``, an entry of the metric, overflows.
     """
 
     a: float
@@ -50,6 +52,9 @@ class HermitianParams:
             raise InvalidParameterError(
                 "b = 0 degenerates the product metric and leaves the complex structure undefined"
             )
+        a, b = float(self.a), float(self.b)
+        if not math.isfinite(a * a + b * b):
+            raise InvalidParameterError(f"a^2 + b^2 overflows at a = {a!r}, b = {b!r}")
 
 
 @dataclass(frozen=True)
@@ -85,25 +90,6 @@ class ProductHermitianModel:
     @property
     def dim(self) -> int:
         return self.factor.dim + self.factor_prime.dim
-
-
-def _extended(factor: SasakianPointModel, factor_prime: SasakianPointModel):
-    """Factor tensors zero-padded to the product dimension."""
-    m, mp = factor.dim, factor_prime.dim
-    dim = m + mp
-    eta = np.zeros(dim)
-    eta[:m] = factor.eta
-    eta_p = np.zeros(dim)
-    eta_p[m:] = factor_prime.eta
-    g = np.zeros((dim, dim))
-    g[:m, :m] = factor.g
-    g_p = np.zeros((dim, dim))
-    g_p[m:, m:] = factor_prime.g
-    gphi = np.zeros((dim, dim))
-    gphi[:m, :m] = factor.phi.T @ factor.g  # entries g(phi e_x, e_y)
-    gphi_p = np.zeros((dim, dim))
-    gphi_p[m:, m:] = factor_prime.phi.T @ factor_prime.g
-    return eta, eta_p, g, g_p, gphi, gphi_p
 
 
 def product_metric(
@@ -203,14 +189,19 @@ def build_nabla_j(
     is stated and the rest is its image under that antisymmetry.
     """
     a, b = params.a, params.b
-    eta, eta_p, g, g_p, gphi, gphi_p = _extended(factor, factor_prime)
+    m = factor.dim
+    dim = m + factor_prime.dim
+    g, eta, g_p, eta_p = factor.g, factor.eta, factor_prime.g, factor_prime.eta
+    gphi = factor.phi.T @ g  # entries g(phi e_x, e_y)
+    gphi_p = factor_prime.phi.T @ g_p
     g_trans = g - np.outer(eta, eta)
     g_trans_p = g_p - np.outer(eta_p, eta_p)
-    h = (
-        np.einsum("xy,z->xyz", g + a * g_trans_p + b * gphi_p, eta)
-        + np.einsum("xz,y->xyz", b * gphi - a * g_trans, eta_p)
-        + (a * a + b * b) * np.einsum("xy,z->xyz", g_p, eta_p)
-    )
+    s1, s2 = slice(0, m), slice(m, dim)
+    h = np.zeros((dim, dim, dim))
+    h[s1, s1, s1] = np.einsum("xy,z->xyz", g, eta)
+    h[s2, s2, s1] = np.einsum("xy,z->xyz", a * g_trans_p + b * gphi_p, eta)
+    h[s1, s2, s1] = np.einsum("xz,y->xyz", b * gphi - a * g_trans, eta_p)
+    h[s2, s2, s2] = (a * a + b * b) * np.einsum("xy,z->xyz", g_p, eta_p)
     return h - h.transpose(0, 2, 1)
 
 

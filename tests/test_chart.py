@@ -98,13 +98,6 @@ class TestSphereChart:
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
             SphereChart(5)
-        with pytest.raises(InvalidParameterError):
-            SphereChart(4, direction=2)
-        with pytest.raises(InvalidParameterError):
-            SphereChart(4, pole=np.array([1.0, 1.0, 0.0, 0.0]))
-        for pole in ([np.nan, 0.0, 0.0, 0.0], [np.inf, 0.0, 0.0, 0.0], [1.0, np.nan, 0.0, 0.0]):
-            with pytest.raises(InvalidParameterError, match="finite unit ambient vector, got"):
-                SphereChart(4, pole=pole)
         for alpha in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(InvalidParameterError, match=f"positive and finite, got {alpha}"):
                 FactorChart(SphereChart(4), alpha=alpha)
@@ -116,9 +109,8 @@ class TestSphereChart:
             assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-14)
 
     def test_origin_maps_to_pole(self):
-        pole = np.array([0.0, 1.0, 0.0, 0.0])
-        chart = SphereChart(4, pole=pole)
-        npt.assert_allclose(embed(chart, np.zeros(3)), pole, atol=1e-14)
+        # the pole is the last ambient axis
+        npt.assert_array_equal(embed(SphereChart(4), np.zeros(3)), [0.0, 0.0, 0.0, 1.0])
 
     def test_jacobian_matches_finite_differences(self, rng):
         chart = SphereChart(4)
@@ -234,36 +226,15 @@ class TestCanonicalFields:
             lhs = 0.5 * (deta - deta.T)
             npt.assert_allclose(lhs, f.metric @ f.phi, atol=1e-6)
 
-    def test_rotated_pole_and_antipodal_chart(self, rng):
-        # the canonical structure is ambient-defined, so every chart of the
-        # same sphere must reproduce the same identities
-        pole = np.array([1.0, 0.0, 0.0, 0.0])
-        factor = FactorChart(SphereChart(4, pole=pole, direction=-1))
-        for point in sample_chart_points(rng, 3, count=3):
-            gamma = christoffels_fd(factor.metric_field(), point, CFG)
-            dxi = partial_derivatives(lambda v: factor.fields(v).xi, point, CFG)
-            f = factor.fields(point)
-            nabla_xi = np.einsum("im->mi", dxi) + np.einsum("mil,l->mi", gamma, f.xi)
-            npt.assert_allclose(nabla_xi, -f.phi, atol=1e-6)
-            npt.assert_allclose(f.phi @ f.phi, -np.eye(3) + np.outer(f.xi, f.eta), atol=1e-12)
-
-    @pytest.mark.parametrize(
-        "pole,direction",
-        [(None, 1), (None, -1), ("rotated", 1), ("rotated", -1)],
-        ids=["pole", "antipodal", "rotated", "rotated-antipodal"],
-    )
-    def test_raised_indices_match_metric_solves(self, rng, pole, direction):
+    def test_raised_indices_match_metric_solves(self, rng):
         # the round metric is conformally flat, so xi and phi come out of a
         # division; a general linear solve against the metric is the reference
-        if pole == "rotated":
-            pole = rng.normal(size=6)
-            pole /= np.linalg.norm(pole)
-        chart = SphereChart(6, pole=pole, direction=direction)
+        chart = SphereChart(6)
         j0 = np.kron(np.eye(3), [[0.0, -1.0], [1.0, 0.0]])  # pairs (x_0, x_1), ...
         for point in sample_chart_points(rng, 5, count=10):
             f = canonical_sasakian_fields(chart, point)
             jac = _stereographic(chart, point)[1]
-            # eta against the test's own J0 guards the chart's fixed rotation and J0
+            # eta against the test's own J0 guards the chart's fixed J0
             npt.assert_allclose(f.eta, -jac.T @ j0 @ embed(chart, point), rtol=1e-14, atol=1e-15)
             npt.assert_allclose(f.xi, np.linalg.solve(f.metric, f.eta), rtol=1e-14, atol=0)
             npt.assert_allclose(
@@ -418,39 +389,32 @@ def _rows(u):
 class TestStencilBatches:
     def test_batch_matches_row_by_row(self, rng):
         params = HermitianParams(-0.7, 1.3)
-        for pole, direction in ((None, 1), (None, -1), ("rotated", 1), ("rotated", -1)):
-            charts = []
-            for ambient in (4, 6):
-                axis = rng.normal(size=ambient) if pole else None
-                charts.append(SphereChart(
-                    ambient, pole=None if axis is None else axis / np.linalg.norm(axis),
-                    direction=direction,
-                ))
-            for alpha in (1.0, 0.5, 2.5):
-                fc1, fc2 = FactorChart(charts[0], alpha=alpha), FactorChart(charts[1], alpha=alpha)
-                stack = sample_chart_points(rng, 3, count=6)
-                npt.assert_allclose(
-                    embed(charts[0], stack), [embed(charts[0], u) for u in stack], rtol=1e-14
-                )
-                for evaluate in (lambda u: canonical_sasakian_fields(charts[0], u), fc1.fields):
-                    batch, rows = evaluate(stack), [evaluate(u) for u in stack]
-                    for name in ("metric", "xi", "eta", "phi"):
-                        npt.assert_allclose(
-                            getattr(batch, name), [getattr(f, name) for f in rows], rtol=1e-14
-                        )
-                stack = sample_chart_points(rng, 8, count=6)
-                metric_fn, j_fn = product_field_functions(fc1, fc2, params)
-                for evaluate in (metric_fn, j_fn):
-                    npt.assert_allclose(evaluate(stack), [evaluate(u) for u in stack], rtol=1e-14)
-                # each row is the shared block formula of the factor fields
-                f1, f2 = fc1.fields(stack[0, :3]), fc2.fields(stack[0, 3:])
-                assert np.array_equal(
-                    metric_fn(stack[0]), product_metric(f1.metric, f1.eta, f2.metric, f2.eta, params)
-                )
-                assert np.array_equal(
-                    j_fn(stack[0]),
-                    product_complex_structure(f1.phi, f1.xi, f1.eta, f2.phi, f2.xi, f2.eta, params),
-                )
+        charts = (SphereChart(4), SphereChart(6))
+        for alpha in (1.0, 0.5, 2.5):
+            fc1, fc2 = FactorChart(charts[0], alpha=alpha), FactorChart(charts[1], alpha=alpha)
+            stack = sample_chart_points(rng, 3, count=6)
+            npt.assert_allclose(
+                embed(charts[0], stack), [embed(charts[0], u) for u in stack], rtol=1e-14
+            )
+            for evaluate in (lambda u: canonical_sasakian_fields(charts[0], u), fc1.fields):
+                batch, rows = evaluate(stack), [evaluate(u) for u in stack]
+                for name in ("metric", "xi", "eta", "phi"):
+                    npt.assert_allclose(
+                        getattr(batch, name), [getattr(f, name) for f in rows], rtol=1e-14
+                    )
+            stack = sample_chart_points(rng, 8, count=6)
+            metric_fn, j_fn = product_field_functions(fc1, fc2, params)
+            for evaluate in (metric_fn, j_fn):
+                npt.assert_allclose(evaluate(stack), [evaluate(u) for u in stack], rtol=1e-14)
+            # each row is the shared block formula of the factor fields
+            f1, f2 = fc1.fields(stack[0, :3]), fc2.fields(stack[0, 3:])
+            assert np.array_equal(
+                metric_fn(stack[0]), product_metric(f1.metric, f1.eta, f2.metric, f2.eta, params)
+            )
+            assert np.array_equal(
+                j_fn(stack[0]),
+                product_complex_structure(f1.phi, f1.xi, f1.eta, f2.phi, f2.xi, f2.eta, params),
+            )
 
     def test_one_call_per_axis_and_per_pair(self):
         # the chunk sizes bound the memory of a stencil: one axis or one pair

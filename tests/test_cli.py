@@ -72,12 +72,22 @@ class TestGridParsing:
 
     def test_range_inclusive_of_stop(self):
         assert parse_grid("-1:1:0.5") == [-1.0, -0.5, 0.0, 0.5, 1.0]
+        assert parse_grid("0.1:0.3:0.1") == [0.1, 0.2, 0.3]
+        grid = parse_grid("0:1e-13:1e-14")
+        assert len(grid) == 11 and grid[-1] == 1e-13
 
     def test_range_stop_unreachable(self):
         assert parse_grid("0:1:0.4") == [0.0, 0.4, 0.8]
 
+    def test_locus_grid_keeps_every_value(self):
+        # steps far below 1e-12 stay distinct, and the grid stops at stop
+        grid = parse_grid("1.4142135623730:1.4142135623732:5e-14")
+        assert len(set(grid)) == len(grid) == 5
+        assert grid[0] == 1.4142135623730 and grid[-1] == 1.4142135623732
+
     def test_bad_specs(self):
-        for spec in ("1:0:0.5", "0:1:-1", "0:1", "a:b:c", "x", "0:1:nan", "nan:1:0.5", "0:inf:1", "inf"):
+        for spec in ("1:0:0.5", "0:1:-1", "0:1", "a:b:c", "x", "0:1:nan", "nan:1:0.5", "0:inf:1", "inf",
+                     "0.1000000000000000000001:0.1:0.1"):
             with pytest.raises(InvalidParameterError):
                 parse_grid(spec)
 
@@ -256,6 +266,15 @@ class TestCommands:
         assert len(rows) == 4  # five grid values minus the excluded b = 0
         assert code == 0
 
+    def test_scan_grid_ends_at_stop(self, capsys):
+        # a fine grid stays within its stop, where every cell is Einstein
+        code, out, _ = run_cli(
+            ["scan", "--p", "1", "--q", "1", "--a=0:1e-13:1e-14", "--b", "1", "--format", "csv"],
+            capsys,
+        )
+        assert len(list(csv.DictReader(io.StringIO(out)))) == 11
+        assert code == 0
+
     def test_oracle_compare_smoke(self, capsys):
         code, out, _ = run_cli(
             [
@@ -276,6 +295,8 @@ class TestExitCodes:
             ("einstein", "--b", "inf", "must be finite, got inf"),
             ("einstein", "--a", "nan", "must be finite, got nan"),
             ("verify-product", "--a", "nan", "must be finite, got nan"),
+            ("verify-product", "--a", "1e200", "a^2 + b^2 overflows at a = 1e+200, b = 1.0"),
+            ("oracle-compare", "--seed", "-1", "got --seed -1"),
             ("scan", "--a", "0:1:nan", "needs finite numbers"),
             ("scan", "--b", "x", "needs numbers"),
             ("oracle-compare", "--p", "0", "need at least one phi-pair, got 0"),

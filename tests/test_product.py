@@ -1,5 +1,7 @@
 """Product Hermitian structure: metric, complex structure, curvature, traces."""
 
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -49,6 +51,10 @@ def curvature_trace_case(first, p, q, a, b):
 def test_b_zero_rejected():
     with pytest.raises(InvalidParameterError):
         HermitianParams(a=0.3, b=0.0)
+    for a, b in ((1e200, 1.0), (0.0, -1e155), (1e154, 1e154)):
+        message = re.escape(f"overflows at a = {a!r}, b = {b!r}")
+        with pytest.raises(InvalidParameterError, match=message):
+            HermitianParams(a=a, b=b)
 
 
 class TestProductMetric:
