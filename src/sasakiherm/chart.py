@@ -283,12 +283,15 @@ def christoffels_fd(metric_field: Callable, u: np.ndarray, cfg: StencilConfig) -
     return np.einsum("kl,ijl->kij", ginv, first)
 
 
-def _riemann_from_jet(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> np.ndarray:
+def _riemann_from_jet(
+    g: np.ndarray, dg: np.ndarray, ddg: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Covariant curvature from the metric's 2-jet at a point.
 
     ``dg[d, i, j] = d_d g_ij`` and ``ddg[c, d, i, j] = d_c d_d g_ij``; the
     derivative of the second-kind symbols uses
-    ``d g^-1 = -g^-1 (d g) g^-1``.
+    ``d g^-1 = -g^-1 (d g) g^-1``.  Returns the curvature together with
+    the first- and second-kind symbols it was built from.
     """
     ginv = np.linalg.inv(g)
     first = _first_kind(dg)
@@ -304,7 +307,7 @@ def _riemann_from_jet(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> np.ndar
         + np.einsum("mil,ljk->mijk", gamma, gamma)
         - np.einsum("mjl,lik->mijk", gamma, gamma)
     )
-    return np.einsum("lm,mijk->ijkl", g, r_up)
+    return np.einsum("lm,mijk->ijkl", g, r_up), first, gamma
 
 
 def riemann_fd(metric_field: Callable, u: np.ndarray, cfg: StencilConfig) -> np.ndarray:
@@ -319,7 +322,7 @@ def riemann_fd(metric_field: Callable, u: np.ndarray, cfg: StencilConfig) -> np.
         np.asarray(metric_field(u), dtype=float),
         partial_derivatives(metric_field, u, cfg),
         second_partial_derivatives(metric_field, u, cfg),
-    )
+    )[0]
 
 
 def nijenhuis_fd(j_field: Callable, u: np.ndarray, cfg: StencilConfig) -> np.ndarray:
@@ -494,15 +497,14 @@ def compare_with_algebraic(
     f2 = fields2(coords[m:])
     g_bar = product_metric(f1.metric, f1.eta, f2.metric, f2.eta, params)
     j_bar = product_complex_structure(f1.phi, f1.xi, f1.eta, f2.phi, f2.xi, f2.eta, params)
-    ginv = np.linalg.inv(g_bar)
 
     dg = partial_derivatives(metric_fn, coords, cfg)
-    r4 = _riemann_from_jet(g_bar, dg, second_partial_derivatives(metric_fn, coords, cfg))
-    ricci = contract_trace(r4, g_bar, slots=(0, 3))  # Ric(Y, Z) = tr(X -> R(X, Y) Z)
+    r4, gamma_first, gamma = _riemann_from_jet(
+        g_bar, dg, second_partial_derivatives(metric_fn, coords, cfg)
+    )
+    ricci = contract_trace(r4, g_bar)
     ricci_star = star_ricci_from_curvature(r4, j_bar, g_bar)
 
-    gamma_first = _first_kind(dg)
-    gamma = np.einsum("kl,ijl->kij", ginv, gamma_first)
     dj = partial_derivatives(j_fn, coords, cfg)
     nabla_j = (
         np.einsum("zm,xmy->xyz", g_bar, dj)

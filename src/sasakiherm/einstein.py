@@ -23,7 +23,12 @@ from .product import (
     build_product_model,
     build_product_ricci,
 )
-from .sasakian import SasakianPointModel, d_homothetic_deform, make_round_sphere_model
+from .sasakian import (
+    SasakianPointModel,
+    d_homothetic_deform,
+    make_round_sphere_model,
+    space_form_ricci_coefficients,
+)
 from .tensors import ALGEBRAIC_TOL, contract_trace
 
 
@@ -80,12 +85,12 @@ class EinsteinExampleSpec:
 def required_eta_einstein_coefficients(p: int, q: int) -> tuple[float, float]:
     """Second-factor Ricci coefficients forced by the Einstein condition.
 
-    The second factor must satisfy
-    ``ricci' = A g' + B eta' (x) eta'`` with
-    ``A = 2 (p + p/q - 1)`` and ``B = -2 (p/q - 1)(q + 1)``.
+    The second factor must satisfy ``ricci' = A g' + B eta' (x) eta'``
+    with ``A = 2 (p + p/q - 1)`` and ``B = -2 (p/q - 1)(q + 1)``: the
+    Ricci coefficients of the space form with ``c = 4 p / q - 3``, which
+    is the second factor of :func:`calabi_eckmann_einstein_example`.
     """
-    ratio = p / q
-    return 2.0 * (p + ratio - 1.0), -2.0 * (ratio - 1.0) * (q + 1.0)
+    return space_form_ricci_coefficients(q, 4.0 * p / q - 3.0)
 
 
 def einstein_verdict(
@@ -104,7 +109,7 @@ def einstein_verdict(
     """
     g_bar = build_product_metric(factor, factor_prime, params)
     ricci_bar = build_product_ricci(factor, factor_prime, params)
-    tau = float(contract_trace(ricci_bar, g_bar, slots=(0, 1)))
+    tau = float(contract_trace(ricci_bar, g_bar))
     fitted = tau / g_bar.shape[0]
     residual = float(np.abs(ricci_bar - fitted * g_bar).max())
     residual_says = residual <= tol

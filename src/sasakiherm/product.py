@@ -353,8 +353,8 @@ def build_product_model(
     riemann_bar = build_product_curvature(factor, factor_prime, params)
     ricci_bar = build_product_ricci(factor, factor_prime, params)
     ricci_star_bar = build_product_ricci_star(factor, factor_prime, params)
-    tau_bar = float(contract_trace(ricci_bar, g_bar, slots=(0, 1)))
-    tau_star_bar = float(contract_trace(ricci_star_bar, g_bar, slots=(0, 1)))
+    tau_bar = float(contract_trace(ricci_bar, g_bar))
+    tau_star_bar = float(contract_trace(ricci_star_bar, g_bar))
     return ProductHermitianModel(
         factor=factor,
         factor_prime=factor_prime,

@@ -379,7 +379,7 @@ def sasakian_structure_residuals(model: SasakianPointModel) -> dict[str, float]:
         np.abs(ricci - contract_trace(riemann, g)).max()
     )
     out.update(curvature_symmetry_residuals(riemann))
-    scalar_from_ricci = float(contract_trace(ricci, g, slots=(0, 1)))
-    scalar_from_riemann = float(contract_trace(contract_trace(riemann, g), g, slots=(0, 1)))
+    scalar_from_ricci = float(contract_trace(ricci, g))
+    scalar_from_riemann = float(contract_trace(contract_trace(riemann, g), g))
     out["scalar_curvature_trace_consistency"] = abs(scalar_from_ricci - scalar_from_riemann)
     return out

@@ -21,18 +21,22 @@ ALGEBRAIC_TOL = 1e-12
 
 def symmetrize(form: np.ndarray) -> np.ndarray:
     """Exactly symmetric part of a square matrix."""
-    return 0.5 * (form + form.T)
+    # halving each term first keeps the sum finite wherever the input is
+    return 0.5 * form + 0.5 * form.T
 
 
 def require_spd(metric: np.ndarray, name: str = "metric") -> None:
     """Raise unless ``metric`` is symmetric positive definite.
 
     Distinguishes a numerically singular metric from an indefinite one
-    so callers can report the right failure.
+    so callers can report the right failure; a metric with a non-finite
+    entry counts as singular, and so does one whose spectrum overflows.
     """
     m = np.asarray(metric, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise SingularMetricError(f"{name} must be square, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise SingularMetricError(f"{name} has non-finite entries")
     if not np.allclose(m, m.T, rtol=0.0, atol=1e-10 * max(1.0, np.abs(m).max())):
         raise SingularMetricError(f"{name} is not symmetric")
     eigvals = np.linalg.eigvalsh(symmetrize(m))
@@ -43,30 +47,20 @@ def require_spd(metric: np.ndarray, name: str = "metric") -> None:
         raise SingularMetricError(f"{name} is singular (min eigenvalue {eigvals.min():g})")
 
 
-def contract_trace(
-    tensor: np.ndarray, metric: np.ndarray, slots: tuple[int, int] = (1, 2)
-) -> np.ndarray:
-    """Metric trace of a rank-2 or rank-4 tensor over two of its slots.
+def contract_trace(tensor: np.ndarray, metric: np.ndarray) -> np.ndarray:
+    """Metric trace of a rank-4 tensor over its middle slots, or of a form.
 
-    Equivalent to feeding both named slots the vectors of any
-    ``metric``-orthonormal frame and summing; the remaining slots keep
-    their original order.  The default ``slots=(1, 2)`` turns a
-    curvature tensor into its Ricci form; a bilinear form takes
-    ``slots=(0, 1)`` and traces to the scalar ``<metric^-1, form>``.
+    Equivalent to feeding both traced slots the vectors of any
+    ``metric``-orthonormal frame and summing.  A curvature tensor
+    ``T[x, y, z, w]`` traces over ``y, z`` to its Ricci form ``[x, w]``;
+    a bilinear form traces to the scalar ``<metric^-1, form>``.
     """
     t = np.asarray(tensor, dtype=float)
     if t.ndim not in (2, 4):
         raise ValueError(f"expected a rank-2 or rank-4 tensor, got ndim={t.ndim}")
-    i, j = slots
-    if i == j or not all(0 <= k < t.ndim for k in (i, j)):
-        raise ValueError(f"slots must be two distinct indices in 0..{t.ndim - 1}, got {slots}")
     require_spd(metric)
     ginv = np.linalg.inv(metric)
-    subs = list("abcd"[: t.ndim])
-    subs[i] = "i"
-    subs[j] = "j"
-    out = "".join(s for s in subs if s not in "ij")
-    return np.einsum(f"ij,{''.join(subs)}->{out}", ginv, t)
+    return np.einsum("ij,aijb->ab" if t.ndim == 4 else "ij,ij->", ginv, t)
 
 
 def change_frame(frame: np.ndarray, tensor: np.ndarray) -> np.ndarray:
@@ -85,23 +79,16 @@ def change_frame(frame: np.ndarray, tensor: np.ndarray) -> np.ndarray:
 
 
 def orthonormal_frame(metric: np.ndarray) -> np.ndarray:
-    """Gram-Schmidt the standard basis into a metric-orthonormal frame.
+    """Gram-Schmidt frame of the standard basis under ``metric``.
 
     Returns a matrix ``F`` whose columns are the frame vectors, so that
-    ``F.T @ metric @ F`` is the identity.  Raises through
+    ``F.T @ metric @ F`` is the identity.  The Gram-Schmidt frame is the
+    one such ``F`` that is upper triangular with a positive diagonal:
+    the inverse transpose of the metric's Cholesky factor.  Raises through
     :func:`require_spd` unless the metric is symmetric positive definite.
     """
     require_spd(metric)
-    g = np.asarray(metric, dtype=float)
-    n = g.shape[0]
-    cols = []
-    for k in range(n):
-        v = np.zeros(n)
-        v[k] = 1.0
-        for w in cols:
-            v = v - (w @ g @ v) * w
-        cols.append(v / np.sqrt(float(v @ g @ v)))
-    return np.column_stack(cols)
+    return np.linalg.inv(np.linalg.cholesky(metric)).T
 
 
 def adapted_frame(metric: np.ndarray, phi: np.ndarray, xi: np.ndarray) -> np.ndarray:

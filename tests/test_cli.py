@@ -296,6 +296,7 @@ class TestExitCodes:
             ("einstein", "--a", "nan", "must be finite, got nan"),
             ("verify-product", "--a", "nan", "must be finite, got nan"),
             ("verify-product", "--a", "1e200", "a^2 + b^2 overflows at a = 1e+200, b = 1.0"),
+            ("verify-product", "--a", "1e154", "product metric is singular"),
             ("oracle-compare", "--seed", "-1", "got --seed -1"),
             ("scan", "--a", "0:1:nan", "needs finite numbers"),
             ("scan", "--b", "x", "needs numbers"),

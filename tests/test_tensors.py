@@ -13,8 +13,10 @@ from sasakiherm.tensors import (
     contract_trace,
     curvature_symmetry_residuals,
     orthonormal_frame,
+    require_spd,
     sectional_curvature,
     star_ricci_from_curvature,
+    symmetrize,
 )
 
 from conftest import bianchi_residual, random_curvature_like, random_spd
@@ -49,13 +51,22 @@ class TestContractTrace:
         r = np.einsum("yz,xw->xyzw", g, g) - np.einsum("xz,yw->xyzw", g, g)
         npt.assert_allclose(contract_trace(r, g), 2 * p * g, atol=1e-14)
 
-    @pytest.mark.parametrize("slots", [(1, 2), (0, 3), (0, 1), (2, 3)])
+    @pytest.mark.parametrize("slots", [(1, 2)])
     def test_matches_frame_summation_oracle(self, rng, slots):
         n = 4
         g = random_spd(rng, n)
         t = rng.normal(size=(n, n, n, n))
         expected = trace_by_frame_summation(t, g, slots)
-        npt.assert_allclose(contract_trace(t, g, slots), expected, atol=1e-13)
+        npt.assert_allclose(contract_trace(t, g), expected, atol=1e-13)
+
+    def test_curvature_like_tensor_traces_alike_over_outer_slots(self, rng):
+        # with the curvature symmetries R(X, e, e, W) = R(e, X, W, e), so the
+        # middle-slot trace is also the trace over the first and last slots
+        for n in (3, 4, 6):
+            g = random_spd(rng, n)
+            t = random_curvature_like(rng, n)
+            expected = trace_by_frame_summation(t, g, (0, 3))
+            npt.assert_allclose(contract_trace(t, g), expected, atol=1e-12)
 
     def test_linear_in_tensor_argument(self, rng):
         n = 4
@@ -72,22 +83,35 @@ class TestContractTrace:
         with pytest.raises(SingularMetricError):
             contract_trace(t, singular)
 
-    def test_bad_slots_rejected(self):
+    def test_rank_three_rejected(self):
         with pytest.raises(ValueError):
-            contract_trace(np.zeros((3,) * 4), np.eye(3), slots=(1, 1))
+            contract_trace(np.zeros((3,) * 3), np.eye(3))
 
     def test_rank_two_trace_is_inverse_metric_pairing(self, rng):
         g = random_spd(rng, 5)
         form = random_spd(rng, 5, scale=0.3)
         frame = orthonormal_frame(g)
-        npt.assert_allclose(contract_trace(g, g, slots=(0, 1)), 5.0, atol=1e-12)
-        npt.assert_allclose(
-            contract_trace(form, g, slots=(0, 1)), np.trace(frame.T @ form @ frame), atol=1e-12
-        )
+        npt.assert_allclose(contract_trace(g, g), 5.0, atol=1e-12)
+        npt.assert_allclose(contract_trace(form, g), np.trace(frame.T @ form @ frame), atol=1e-12)
 
-    def test_rank_two_rejects_slots_past_its_rank(self):
-        with pytest.raises(ValueError):
-            contract_trace(np.eye(3), np.eye(3))
+
+class TestRequireSpd:
+    @pytest.mark.parametrize(
+        "metric",
+        [
+            [[1.0, 1e154], [1e154, 1e308]],
+            [[1.0, 0.0], [0.0, np.inf]],
+            [[1.7e308, 1.7e308], [1.7e308, 1.7e308]],
+        ],
+        ids=["symmetrization-past-overflow", "inf-entry", "eigenvalue-overflow"],
+    )
+    def test_non_finite_spectrum_rejected(self, metric):
+        with pytest.raises(SingularMetricError):
+            require_spd(np.array(metric))
+
+    def test_symmetrize_stays_finite_near_overflow(self):
+        form = np.array([[1.0, 1e308], [1.7e308, 1e308]])
+        npt.assert_array_equal(symmetrize(form), [[1.0, 1.35e308], [1.35e308, 1e308]])
 
 
 class TestOrthonormalFrame:
@@ -109,6 +133,15 @@ class TestOrthonormalFrame:
         g = random_spd(np.random.default_rng(seed), n)
         frame = orthonormal_frame(g)
         npt.assert_allclose(frame.T @ g @ frame, np.eye(n), atol=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=2, max_value=7), st.integers(min_value=0, max_value=10**6))
+    def test_upper_triangular_with_positive_diagonal(self, n, seed):
+        # the one frame of this shape is the Gram-Schmidt frame of the standard
+        # basis; the triangular inverse leaves rounding below the diagonal
+        frame = orthonormal_frame(random_spd(np.random.default_rng(seed), n))
+        assert np.abs(np.tril(frame, -1)).max() <= 1e-14 * np.abs(frame).max()
+        assert np.all(np.diag(frame) > 0.0)
 
     def test_spans_standard_basis(self, rng):
         g = random_spd(rng, 5)
