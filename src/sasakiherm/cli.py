@@ -26,6 +26,7 @@ import json
 import math
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,13 +61,11 @@ from .sasakian import (
     verify_sasakian_curvature_identities,
 )
 from .tensors import (
-    ALGEBRAIC_TOL,
+    TOLERANCES,
     contract_trace,
     curvature_symmetry_residuals,
     star_ricci_from_curvature,
 )
-
-BOOL_TOL = 0.5  # boolean checks encode pass as residual 0.0, fail as 1.0
 
 
 @dataclass
@@ -194,6 +193,12 @@ def parse_grid(spec: str) -> list[float]:
     ...`` up to ``stop``, which is included only when it lies on the grid.
     Each value is rounded to a float once, at the end.
     """
+    count, value = _grid(spec)
+    return [value(k) for k in range(count)]
+
+
+def _grid(spec: str) -> tuple[int, Callable[[int], float]]:
+    """The size of a grid spec and its ``k``-th value; see :func:`parse_grid`."""
     parts = spec.split(":")
     if len(parts) not in (1, 3):
         raise InvalidParameterError(f"grid spec must be start:stop:step, got {spec!r}")
@@ -204,14 +209,13 @@ def parse_grid(spec: str) -> list[float]:
     if not all(math.isfinite(x) for x in numbers):
         raise InvalidParameterError(f"grid spec {spec!r} needs finite numbers")
     if len(numbers) == 1:
-        return numbers
-    with decimal.localcontext() as exact:
-        exact.prec = decimal.MAX_PREC  # +, * and // of finite decimals never round
-        start, stop, step = (decimal.Decimal(x) for x in parts)
-        if numbers[2] <= 0.0 or stop < start:  # a step that is 0.0 as a float too
-            raise InvalidParameterError(f"bad grid spec {spec!r}")
-        count = int((stop - start) // step) + 1
-        return [float(start + k * step) for k in range(count)]
+        return 1, lambda k: numbers[0]
+    start, stop, step = (decimal.Decimal(x) for x in parts)
+    if numbers[2] <= 0.0 or stop < start:  # a step that is 0.0 as a float too
+        raise InvalidParameterError(f"bad grid spec {spec!r}")
+    exact = decimal.Context(prec=decimal.MAX_PREC)  # +, * and // of finite decimals never round
+    count = int(exact.divide_int(exact.subtract(stop, start), step)) + 1
+    return count, lambda k: float(exact.fma(k, step, start))
 
 
 # ---------------------------------------------------------------------------
@@ -219,19 +223,22 @@ def parse_grid(spec: str) -> list[float]:
 # ---------------------------------------------------------------------------
 
 
+def _check(name: str, anchor: str, residual: float, tier: str = "algebraic") -> CheckRecord:
+    """A check judged against the tolerance of its tier in :data:`TOLERANCES`."""
+    return CheckRecord(name, anchor, residual, TOLERANCES[tier])
+
+
 def _bool_check(name: str, anchor: str, ok: bool) -> CheckRecord:
-    return CheckRecord(name, anchor, 0.0 if ok else 1.0, BOOL_TOL)
+    return _check(name, anchor, 0.0 if ok else 1.0, "yes_no")
 
 
-def _table_checks(table, values, tolerances: dict, name: str) -> list[CheckRecord]:
+def _table_checks(table, values, name: str) -> list[CheckRecord]:
     """One check per ``(attribute, anchor, tolerance tier)`` row, read off ``values``.
 
     ``name.format(attribute)`` names the check.
     """
-    return [
-        CheckRecord(name.format(attr), anchor, getattr(values, attr), tolerances[tier])
-        for attr, anchor, tier in table
-    ]
+    return [_check(name.format(attr), anchor, getattr(values, attr), tier)
+            for attr, anchor, tier in table]
 
 
 _IDENTITY_CHECKS = (
@@ -264,18 +271,16 @@ _ORACLE_CHECKS = (
 
 def _run_verify_factor(args) -> tuple[list[CheckRecord], dict]:
     model = parse_factor_spec(args.factor)(args.p)
-    tol = args.tol_algebraic
     checks = [
-        CheckRecord(f"structure.{name}", "pointwise Sasakian structure relations", value, tol)
+        _check(f"structure.{name}", "pointwise Sasakian structure relations", value)
         for name, value in sasakian_structure_residuals(model).items()
     ]
     checks += _table_checks(
-        _IDENTITY_CHECKS, verify_sasakian_curvature_identities(model), {"algebraic": tol},
-        name="identity.{}",
+        _IDENTITY_CHECKS, verify_sasakian_curvature_identities(model), name="identity.{}"
     )
     fit = classify_eta_einstein(model)
     anchor = f"ricci = {fit.g_coeff:.12g} g + {fit.eta_coeff:.12g} eta(x)eta"
-    checks.append(CheckRecord("eta_einstein_fit", anchor, fit.residual, tol))
+    checks.append(_check("eta_einstein_fit", anchor, fit.residual))
     return checks, {}
 
 
@@ -288,38 +293,37 @@ def _build_factors(args) -> tuple[SasakianPointModel, SasakianPointModel]:
 def _run_verify_product(args) -> tuple[list[CheckRecord], dict]:
     factor, factor_prime = _build_factors(args)
     model = build_product_model(factor, factor_prime, HermitianParams(a=args.a, b=args.b))
-    tol = args.tol_algebraic
     g_bar, j_bar = model.g_bar, model.j_bar
     checks = [
-        CheckRecord("hermitian_compatibility", "g(JX,JY) = g(X,Y)",
-                    np.abs(j_bar.T @ g_bar @ j_bar - g_bar).max(), tol),
-        CheckRecord("complex_structure_squares", "J^2 = -I",
-                    np.abs(j_bar @ j_bar + np.eye(model.dim)).max(), tol),
+        _check("hermitian_compatibility", "g(JX,JY) = g(X,Y)",
+               np.abs(j_bar.T @ g_bar @ j_bar - g_bar).max()),
+        _check("complex_structure_squares", "J^2 = -I",
+               np.abs(j_bar @ j_bar + np.eye(model.dim)).max()),
     ]
     checks += [
-        CheckRecord(f"curvature.{name}", "algebraic curvature symmetries", value, tol)
+        _check(f"curvature.{name}", "algebraic curvature symmetries", value)
         for name, value in curvature_symmetry_residuals(model.riemann_bar).items()
     ]
     checks += [
-        CheckRecord("integrability", "g((nabla_X J)Y,Z) = g((nabla_JX J)JY,Z)",
-                    check_integrability(model), tol),
-        CheckRecord("ricci_matches_curvature_trace",
-                    "closed-form ricci equals metric trace of closed-form curvature",
-                    np.abs(contract_trace(model.riemann_bar, g_bar) - model.ricci_bar).max(),
-                    max(tol, 1e-11)),
-        CheckRecord("ricci_star_matches_trace_definition",
-                    "closed-form rho* equals tr(Z -> R(X,JZ)JY)",
-                    np.abs(star_ricci_from_curvature(model.riemann_bar, j_bar, g_bar)
-                           - model.ricci_star_bar).max(),
-                    max(tol, 1e-11)),
+        _check("integrability", "g((nabla_X J)Y,Z) = g((nabla_JX J)JY,Z)",
+               check_integrability(model)),
+        _check("ricci_matches_curvature_trace",
+               "closed-form ricci equals metric trace of closed-form curvature",
+               np.abs(contract_trace(model.riemann_bar, g_bar) - model.ricci_bar).max(),
+               "trace"),
+        _check("ricci_star_matches_trace_definition",
+               "closed-form rho* equals tr(Z -> R(X,JZ)JY)",
+               np.abs(star_ricci_from_curvature(model.riemann_bar, j_bar, g_bar)
+                      - model.ricci_star_bar).max(),
+               "trace"),
     ]
     witness = check_not_kahler(model)
     floor = min(1.0, args.a**2 + args.b**2)
-    weakly, star_residual = check_weakly_star_einstein(model, tol)
+    weakly, star_residual = check_weakly_star_einstein(model)
     checks += [
         _bool_check("never_kahler",
                     f"max |nabla J| = {witness:.6g} >= min(1, a^2+b^2) = {floor:.6g}",
-                    witness >= floor - tol),
+                    witness >= floor - TOLERANCES["algebraic"]),
         _bool_check("not_weakly_star_einstein",
                     f"max |rho* - (tau*/N) g| = {star_residual:.6g} stays positive",
                     not weakly),
@@ -330,34 +334,31 @@ def _run_verify_product(args) -> tuple[list[CheckRecord], dict]:
 def _run_einstein(args) -> tuple[list[CheckRecord], dict]:
     factor, factor_prime = _build_factors(args)
     params = HermitianParams(a=args.a, b=args.b)
-    tol = args.tol_algebraic
-    verdict = einstein_verdict(factor, factor_prime, params, tol=tol)
+    verdict = einstein_verdict(factor, factor_prime, params)
     # g(xi, xi) of the product metric is the entry of the first factor's metric
     reeb = factor.dim - 1
     reeb_value = verdict.ricci_bar[reeb, reeb] / factor.g[reeb, reeb]
     checks = [
-        CheckRecord("einstein_residual",
-                    f"ricci = lambda g with lambda fitted as tau/N = {verdict.einstein_constant!r}",
-                    verdict.residual, tol),
+        _check("einstein_residual",
+               f"ricci = lambda g with lambda fitted as tau/N = {verdict.einstein_constant!r}",
+               verdict.residual),
         _bool_check("verdict_agreement", "structural conditions and residual fit concur",
                     verdict.agreement),
-        CheckRecord("reeb_ricci_ratio", "ricci(xi,xi)/g(xi,xi) = 2p + 2 a^2 q",
-                    abs(reeb_value - (2.0 * args.p + 2.0 * params.a**2 * args.q)), tol),
+        _check("reeb_ricci_ratio", "ricci(xi,xi)/g(xi,xi) = 2p + 2 a^2 q",
+               abs(reeb_value - (2.0 * args.p + 2.0 * params.a**2 * args.q))),
     ]
     return checks, {"lambda": verdict.einstein_constant}
 
 
 def _run_example(args) -> tuple[list[CheckRecord], dict]:
     spec, model = calabi_eckmann_einstein_example(args.p, args.q)
-    tol = args.tol_algebraic
-    verdict = einstein_verdict(model.factor, model.factor_prime, model.params, tol=tol)
-    weakly, _ = check_weakly_star_einstein(model, tol)
+    verdict = einstein_verdict(model.factor, model.factor_prime, model.params)
+    weakly, _ = check_weakly_star_einstein(model)
     checks = [
         _bool_check("einstein", "the sphere-product example is Einstein", verdict.is_einstein),
-        CheckRecord("einstein_constant", "lambda = 2p",
-                    abs(verdict.einstein_constant - 2.0 * args.p), tol),
-        CheckRecord("star_scalar", "tau* = 4q(1 - p + q)",
-                    abs(model.tau_star_bar - star_scalar_prediction(args.p, args.q)), tol),
+        _check("einstein_constant", "lambda = 2p", abs(verdict.einstein_constant - 2.0 * args.p)),
+        _check("star_scalar", "tau* = 4q(1 - p + q)",
+               abs(model.tau_star_bar - star_scalar_prediction(args.p, args.q))),
         _bool_check("not_weakly_star_einstein", "rho* never proportional to g", not weakly),
     ]
     info = {"c": spec.c, "alpha": spec.alpha, "b": spec.b, "lambda": verdict.einstein_constant}
@@ -367,32 +368,35 @@ def _run_example(args) -> tuple[list[CheckRecord], dict]:
 _SCAN_CELLS = {  # --check value -> (anchor, residual of one (a, b) cell)
     "einstein": (
         "ricci = lambda g",
-        lambda factor, factor_prime, params, tol:
-            einstein_verdict(factor, factor_prime, params, tol=tol).residual,
+        lambda factor, factor_prime, params:
+            einstein_verdict(factor, factor_prime, params).residual,
     ),
     "integrability": (
         "vanishing integrability defect",
-        lambda factor, factor_prime, params, tol:
+        lambda factor, factor_prime, params:
             check_integrability(build_product_model(factor, factor_prime, params)),
     ),
 }
 
 
+MAX_SCAN_CELLS = 10**5
+
+
 def _run_scan(args) -> tuple[list[CheckRecord], dict]:
+    cells = _grid(args.a)[0] * _grid(args.b)[0]
+    if cells > MAX_SCAN_CELLS:
+        raise InvalidParameterError(
+            f"scan grid has {decimal.Decimal(cells):.6g} cells, more than {MAX_SCAN_CELLS}"
+        )
     a_values = parse_grid(args.a)
     b_values = [b for b in parse_grid(args.b) if b != 0.0]
     if not b_values:
         raise InvalidParameterError("b grid contains only the excluded value 0")
     factor, factor_prime = _build_factors(args)
     anchor, residual = _SCAN_CELLS[args.check]
-    tol = args.tol_algebraic
     checks = [
-        CheckRecord(
-            f"{args.check}[a={a:g},b={b:g}]",
-            anchor,
-            residual(factor, factor_prime, HermitianParams(a=a, b=b), tol),
-            tol,
-        )
+        _check(f"{args.check}[a={a:g},b={b:g}]", anchor,
+               residual(factor, factor_prime, HermitianParams(a=a, b=b)))
         for a in a_values
         for b in b_values
     ]
@@ -410,16 +414,14 @@ def _run_oracle_compare(args) -> tuple[list[CheckRecord], dict]:
     factor_chart_prime = FactorChart(SphereChart(2 * args.q + 2), alpha=spec_prime.chart_alpha)
     params = HermitianParams(a=args.a, b=args.b)
     model = build_product_model(factor, factor_prime, params)
-    cfg = StencilConfig(step=args.step)
     rng = np.random.default_rng(args.seed)
     dim = factor_chart.dim + factor_chart_prime.dim
-    tolerances = {"second": args.tol_fd, "first": min(args.tol_fd, 1e-5)}
     checks = []
     for index, point in enumerate(sample_chart_points(rng, dim, count=args.points)):
         comparison = compare_with_algebraic(
-            factor_chart, factor_chart_prime, params, model, point, cfg
+            factor_chart, factor_chart_prime, params, model, point, StencilConfig()
         )
-        checks += _table_checks(_ORACLE_CHECKS, comparison, tolerances, name=f"{{}}[{index}]")
+        checks += _table_checks(_ORACLE_CHECKS, comparison, name=f"{{}}[{index}]")
     return checks, {}
 
 
@@ -438,12 +440,8 @@ _FLAGS = {  # key -> (option string, add_argument keywords)
     "check": ("--check", dict(choices=tuple(_SCAN_CELLS), default="einstein")),
     "factor": ("--factor", dict(default="round", help="round | space-form:<c> | deformed:<alpha>")),
     "factor-prime": ("--factor-prime", dict(default="round", dest="factor_prime")),
-    "tol-algebraic": ("--tol-algebraic",
-                      dict(type=float, default=ALGEBRAIC_TOL, dest="tol_algebraic")),
-    "tol-fd": ("--tol-fd", dict(type=float, default=1e-4, dest="tol_fd")),
     "seed": ("--seed", dict(type=int, default=0)),
     "points": ("--points", dict(type=int, default=2)),
-    "step": ("--step", dict(type=float, default=1e-3)),
     "format": ("--format", dict(choices=("json", "csv"), default="json", dest="fmt")),
     "out": ("--out", dict(default=None, help="write the report here instead of stdout")),
 }
@@ -454,18 +452,17 @@ _PRODUCT = ("p", "q", "factor", "factor-prime")
 # command -> (help, the _FLAGS keys it reads, runner returning (checks, info))
 COMMANDS = {
     "verify-factor": ("Sasakian structure and identity suite",
-                      ("p", "factor", "tol-algebraic", *_OUTPUT), _run_verify_factor),
+                      ("p", "factor", *_OUTPUT), _run_verify_factor),
     "verify-product": ("product structure checks",
-                       (*_PRODUCT, "a", "b", "tol-algebraic", *_OUTPUT), _run_verify_product),
+                       (*_PRODUCT, "a", "b", *_OUTPUT), _run_verify_product),
     "einstein": ("Einstein verdict for one parameter point",
-                 (*_PRODUCT, "a", "b", "tol-algebraic", *_OUTPUT), _run_einstein),
+                 (*_PRODUCT, "a", "b", *_OUTPUT), _run_einstein),
     "scan": ("grid scan over (a, b)",
-             (*_PRODUCT, "a-grid", "b-grid", "check", "tol-algebraic", *_OUTPUT), _run_scan),
+             (*_PRODUCT, "a-grid", "b-grid", "check", *_OUTPUT), _run_scan),
     "oracle-compare": ("finite-difference oracle comparison",
-                       (*_PRODUCT, "a", "b", "tol-fd", "seed", "points", "step", *_OUTPUT),
-                       _run_oracle_compare),
+                       (*_PRODUCT, "a", "b", "seed", "points", *_OUTPUT), _run_oracle_compare),
     "example": ("build and verify a sphere-product Einstein example",
-                ("p", "q", "tol-algebraic", *_OUTPUT), _run_example),
+                ("p", "q", *_OUTPUT), _run_example),
 }
 
 
@@ -492,10 +489,6 @@ def _config_echo(args) -> dict:
 
 def run(args) -> Report:
     """Execute one parsed command and collect its report."""
-    for dest, tol in vars(args).items():
-        if dest.startswith("tol_") and not (math.isfinite(tol) and tol > 0.0):
-            flag = "--" + dest.replace("_", "-")
-            raise InvalidParameterError(f"tolerances must be positive and finite, got {flag} {tol}")
     start = time.perf_counter()
     report = Report(config=_config_echo(args))
     try:
@@ -504,9 +497,7 @@ def run(args) -> Report:
         raise
     except (np.linalg.LinAlgError, FloatingPointError, ValueError) as exc:
         # numerical domain failures become failed records, not crashes
-        report.checks.append(
-            CheckRecord("numerical_domain", f"computation failed: {exc}", math.inf, 0.0)
-        )
+        report.checks.append(_bool_check("numerical_domain", f"computation failed: {exc}", False))
     report.wall_time_ms = 1000.0 * (time.perf_counter() - start)
     return report
 

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import InvalidParameterError
 from .sasakian import SasakianPointModel
 from .tensors import (
-    ALGEBRAIC_TOL,
+    TOLERANCES,
     contract_trace,
     integrability_residual,
     require_spd,
@@ -390,9 +390,7 @@ def check_not_kahler(model: ProductHermitianModel) -> float:
     return float(np.abs(model.nabla_j).max())
 
 
-def check_weakly_star_einstein(
-    model: ProductHermitianModel, tol: float = ALGEBRAIC_TOL
-) -> tuple[bool, float]:
+def check_weakly_star_einstein(model: ProductHermitianModel) -> tuple[bool, float]:
     """Test ``rho* = (tau*/N) g_bar`` and report the max-norm residual.
 
     Always false on this family: the star-Ricci tensor annihilates the
@@ -402,4 +400,4 @@ def check_weakly_star_einstein(
     """
     lam = model.tau_star_bar / model.dim
     residual = float(np.abs(model.ricci_star_bar - lam * model.g_bar).max())
-    return residual <= tol, residual
+    return residual <= TOLERANCES["algebraic"], residual

@@ -244,6 +244,8 @@ def d_homothetic_deform(model: SasakianPointModel, alpha: float) -> SasakianPoin
     if not (np.isfinite(alpha) and alpha > 0.0):
         raise InvalidParameterError(f"deformation parameter must be positive and finite, got {alpha}")
     alpha = float(alpha)
+    if not np.isfinite(alpha * alpha):  # the curvature shift carries (alpha - 1)^2
+        raise InvalidParameterError(f"deformation parameter {alpha!r} has a square that overflows")
     g, phi, xi, eta, riemann = model.g, model.phi, model.xi, model.eta, model.riemann
     dim = model.dim
     ident = np.eye(dim)

@@ -8,6 +8,7 @@ import math
 import re
 import shlex
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,7 @@ from sasakiherm.cli import (
     run,
 )
 from sasakiherm.errors import InvalidParameterError
+from sasakiherm.tensors import TOLERANCES
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -321,21 +323,33 @@ class TestExitCodes:
             build_parser().parse_args(["frobnicate"])
         assert excinfo.value.code == 2
 
-    def test_nonpositive_tolerance_is_usage_error(self, capsys):
-        for command, flag, value in (
-            ("verify-factor", "--tol-algebraic", "0"),
-            ("verify-factor", "--tol-algebraic", "inf"),
-            ("verify-factor", "--tol-algebraic", "nan"),
-            ("oracle-compare", "--tol-fd", "nan"),
-            ("oracle-compare", "--tol-fd", "-inf"),
-            ("oracle-compare", "--step", "nan"),
-            ("oracle-compare", "--step", "inf"),
-        ):
-            code, out, err = run_cli([command, "--p", "1", f"{flag}={value}"], capsys)
-            assert code == 2
-            assert out == ""
-            assert "positive and finite, got" in err
-            assert err.rstrip().endswith(value)
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-factor", "--p", "1", "--factor", "deformed:2e154"],
+            ["oracle-compare", "--p", "1", "--q", "1", "--factor-prime", "deformed:2e154",
+             "--points", "1"],
+        ],
+        ids=["verify-factor", "oracle-compare"],
+    )
+    def test_deformation_whose_square_overflows_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: deformation parameter 2e+154 has a square that overflows\n"
+
+    @pytest.mark.parametrize(
+        "grids,cells",
+        [(["--a=0:1e300:1e-300"], "1.00000e+600"), (["--a=0:1000:1", "--b=1:100:1"], "100100")],
+    )
+    def test_scan_grid_past_the_cell_bound_is_usage_error(self, capsys, grids, cells):
+        # both grids are counted before either is built
+        start = time.perf_counter()
+        code, out, err = run_cli(["scan", "--p", "1", "--q", "1", *grids], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err == f"error: scan grid has {cells} cells, more than 100000\n"
 
     @pytest.mark.parametrize("flag", ["--p", "--q"])
     def test_example_without_phi_pairs_is_usage_error(self, capsys, flag):
@@ -373,6 +387,13 @@ class TestFlags:
                 for command in ("verify-factor", "verify-product", "einstein", "scan", "example")
                 for flag, value in (("--seed", "5"), ("--tol-fd", "1e-9"))
             ],
+            # the tolerances and the stencil step are fixed, not flags
+            *[
+                (command, "--tol-algebraic", "1e-8")
+                for command in ("verify-factor", "verify-product", "einstein", "scan", "example")
+            ],
+            ("oracle-compare", "--tol-fd", "1e-3"),
+            *[(command, "--step", "2e-3") for command in COMMANDS],
         ],
     )
     def test_flag_the_command_never_reads_is_usage_error(self, capsys, command, flag, value):
@@ -388,6 +409,16 @@ class TestFlags:
 
     def test_readme_flag_table_matches_parser(self):
         assert readme_flag_table() == parser_flags()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_tolerance_comes_from_the_table(capsys, command):
+    code, out, _ = run_cli([command], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["checks"]
+    assert {check["tolerance"] for check in payload["checks"]} <= set(TOLERANCES.values())
+    assert not {"tol_algebraic", "tol_fd", "step"} & payload["config"].keys()
 
 
 class TestDeterminism:
@@ -426,8 +457,8 @@ def test_output_independent_of_earlier_commands(capsys):
         ["einstein", "--p", "1", "--q", "2", "--a", "0.3", "--b", "1.2"],
         ["oracle-compare", "--q", "0"],
         ["scan", "--a", "0:0.5:0.5", "--b", "1", "--check", "integrability"],
-        ["example", "--p", "2", "--q", "1", "--tol-algebraic", "1e-8"],
-        ["oracle-compare", "--points", "1", "--step", "2e-3", "--seed", "3"],
+        ["example", "--p", "2", "--q", "1"],
+        ["oracle-compare", "--points", "1", "--seed", "3", "--a", "0.5"],
         ["verify-product", "--p", "1", "--q", "1", "--b", "2", "--factor-prime", "space-form:5"],
     ]
     fresh = []

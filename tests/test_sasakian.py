@@ -248,6 +248,10 @@ class TestDHomotheticDeformation:
             with pytest.raises(InvalidParameterError, match=f"positive and finite, got {alpha}"):
                 d_homothetic_deform(make_round_sphere_model(1), alpha)
 
+    def test_alpha_whose_square_overflows_rejected(self):
+        with pytest.raises(InvalidParameterError, match="1e\\+200 has a square that overflows"):
+            d_homothetic_deform(make_round_sphere_model(1), 1e200)
+
 
 class TestExactArithmetic:
     @pytest.mark.parametrize(
