@@ -36,7 +36,7 @@ from .product import (
     product_complex_structure,
     product_metric,
 )
-from .sasakian import d_homothetic_structure
+from .sasakian import SasakianStructure, d_homothetic_structure
 from .tensors import (
     adapted_frame,
     change_frame,
@@ -194,17 +194,7 @@ def embed(chart: SphereChart, u: np.ndarray) -> np.ndarray:
     return _stereographic(chart, u)[0]
 
 
-@dataclass(frozen=True)
-class SasakianChartFields:
-    """Sasakian data in chart coordinates, with the leading axes of the points."""
-
-    metric: np.ndarray
-    xi: np.ndarray
-    eta: np.ndarray
-    phi: np.ndarray
-
-
-def canonical_sasakian_fields(chart: SphereChart, u: np.ndarray) -> SasakianChartFields:
+def canonical_sasakian_fields(chart: SphereChart, u: np.ndarray) -> SasakianStructure:
     """Canonical Sasakian structure of the unit sphere at ``(..., dim)`` chart points.
 
     The Reeb field is minus the ambient complex structure applied to
@@ -217,8 +207,8 @@ def canonical_sasakian_fields(chart: SphereChart, u: np.ndarray) -> SasakianChar
     scale = (factor * factor)[..., None]
     eta = np.einsum("...a,...ai->...i", x @ chart.j0, jac)  # -J0 x, as j0 is antisymmetric
     phi = np.swapaxes(jac, -1, -2) @ (chart.j0 @ jac) / scale[..., None]
-    return SasakianChartFields(
-        metric=scale[..., None] * np.eye(chart.dim), xi=eta / scale, eta=eta, phi=phi
+    return SasakianStructure(
+        metric=scale[..., None] * np.eye(chart.dim), phi=phi, xi=eta / scale, eta=eta
     )
 
 
@@ -245,11 +235,9 @@ class FactorChart:
     def dim(self) -> int:
         return self.chart.dim
 
-    def fields(self, u: np.ndarray) -> SasakianChartFields:
+    def fields(self, u: np.ndarray) -> SasakianStructure:
         """The deformed fields at ``(..., dim)`` chart points."""
-        raw = canonical_sasakian_fields(self.chart, u)
-        metric, xi, eta = d_homothetic_structure(raw.metric, raw.xi, raw.eta, self.alpha)
-        return SasakianChartFields(metric=metric, xi=xi, eta=eta, phi=raw.phi)
+        return d_homothetic_structure(canonical_sasakian_fields(self.chart, u), self.alpha)
 
     def metric_at(self, u: np.ndarray) -> np.ndarray:
         """Metric field values at ``(..., dim)`` chart points."""
@@ -371,12 +359,12 @@ def product_field_functions(
     def metric_fn(u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         f1, f2 = factor_chart.fields(u[..., :m]), factor_chart_prime.fields(u[..., m:])
-        return product_metric(f1.metric, f1.eta, f2.metric, f2.eta, params)
+        return product_metric(f1, f2, params)
 
     def j_fn(u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         f1, f2 = factor_chart.fields(u[..., :m]), factor_chart_prime.fields(u[..., m:])
-        return product_complex_structure(f1.phi, f1.xi, f1.eta, f2.phi, f2.xi, f2.eta, params)
+        return product_complex_structure(f1, f2, params)
 
     return metric_fn, j_fn
 
@@ -414,7 +402,7 @@ class OracleComparison:
     nijenhuis: float
 
 
-def _product_adapted_frame(f1: SasakianChartFields, f2: SasakianChartFields) -> np.ndarray:
+def _product_adapted_frame(f1: SasakianStructure, f2: SasakianStructure) -> np.ndarray:
     """Block frame matching the closed-form basis ordering at a chart point."""
     m = f1.metric.shape[0]
     dim = m + f2.metric.shape[0]
@@ -427,8 +415,8 @@ def _product_adapted_frame(f1: SasakianChartFields, f2: SasakianChartFields) -> 
 def _connection_block_prediction(
     fields1: Callable,
     fields2: Callable,
-    f1: SasakianChartFields,
-    f2: SasakianChartFields,
+    f1: SasakianStructure,
+    f2: SasakianStructure,
     params: HermitianParams,
     coords: np.ndarray,
     cfg: StencilConfig,
@@ -449,8 +437,7 @@ def _connection_block_prediction(
     # eta(nabla_X Y) = xi^k Gamma_{ij,k}
     reeb_of_nabla1 = np.einsum("ijk,k->ij", gamma1, f1.xi)
     reeb_of_nabla2 = np.einsum("ijk,k->ij", gamma2, f2.xi)
-    gphi1 = f1.phi.T @ f1.metric
-    gphi2 = f2.phi.T @ f2.metric
+    gphi1, gphi2 = f1.gphi, f2.gphi
     k = a * a + b * b - 1.0
 
     pred = np.zeros((dim, dim, dim))
@@ -495,8 +482,8 @@ def compare_with_algebraic(
     fields1, fields2 = factor_chart.fields, factor_chart_prime.fields
     f1 = fields1(coords[:m])
     f2 = fields2(coords[m:])
-    g_bar = product_metric(f1.metric, f1.eta, f2.metric, f2.eta, params)
-    j_bar = product_complex_structure(f1.phi, f1.xi, f1.eta, f2.phi, f2.xi, f2.eta, params)
+    g_bar = product_metric(f1, f2, params)
+    j_bar = product_complex_structure(f1, f2, params)
 
     dg = partial_derivatives(metric_fn, coords, cfg)
     r4, gamma_first, gamma = _riemann_from_jet(

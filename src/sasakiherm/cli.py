@@ -337,7 +337,7 @@ def _run_einstein(args) -> tuple[list[CheckRecord], dict]:
     verdict = einstein_verdict(factor, factor_prime, params)
     # g(xi, xi) of the product metric is the entry of the first factor's metric
     reeb = factor.dim - 1
-    reeb_value = verdict.ricci_bar[reeb, reeb] / factor.g[reeb, reeb]
+    reeb_value = verdict.ricci_bar[reeb, reeb] / factor.metric[reeb, reeb]
     checks = [
         _check("einstein_residual",
                f"ricci = lambda g with lambda fitted as tau/N = {verdict.einstein_constant!r}",
@@ -380,6 +380,8 @@ _SCAN_CELLS = {  # --check value -> (anchor, residual of one (a, b) cell)
 
 
 MAX_SCAN_CELLS = 10**5
+# At this bound one rank-4 tensor of the product (N = 42) takes 25 MB.
+MAX_PHI_PAIRS = 10
 
 
 def _run_scan(args) -> tuple[list[CheckRecord], dict]:
@@ -490,6 +492,10 @@ def _config_echo(args) -> dict:
 def run(args) -> Report:
     """Execute one parsed command and collect its report."""
     start = time.perf_counter()
+    for key in ("p", "q"):
+        size = getattr(args, key, None)
+        if size is not None and size > MAX_PHI_PAIRS:
+            raise InvalidParameterError(f"--{key} {size} is more than {MAX_PHI_PAIRS} phi-pairs")
     report = Report(config=_config_echo(args))
     try:
         report.checks, report.info = COMMANDS[args.command][2](args)

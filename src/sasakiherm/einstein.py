@@ -120,15 +120,8 @@ def einstein_verdict(
     conditions = StructuralConditions(
         a_is_zero=abs(a) <= tol,
         p_equals_b2q=abs(p - b * b * q) <= tol,
-        factor_einstein=float(np.abs(factor.ricci - 2.0 * p * factor.g).max()) <= tol,
-        factor_prime_eta_einstein=float(
-            np.abs(
-                factor_prime.ricci
-                - g_coeff * factor_prime.g
-                - eta_coeff * np.outer(factor_prime.eta, factor_prime.eta)
-            ).max()
-        )
-        <= tol,
+        factor_einstein=factor.ricci_deviation(2.0 * p, 0.0) <= tol,
+        factor_prime_eta_einstein=factor_prime.ricci_deviation(g_coeff, eta_coeff) <= tol,
     )
     structure_says = conditions.all_hold()
     if structure_says != residual_says:

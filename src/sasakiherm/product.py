@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
-from .sasakian import SasakianPointModel
+from .sasakian import SasakianPointModel, SasakianStructure
 from .tensors import (
     TOLERANCES,
     contract_trace,
@@ -93,42 +93,30 @@ class ProductHermitianModel:
 
 
 def product_metric(
-    g: np.ndarray,
-    eta: np.ndarray,
-    g_prime: np.ndarray,
-    eta_prime: np.ndarray,
-    params: HermitianParams,
+    s: SasakianStructure, s_prime: SasakianStructure, params: HermitianParams
 ) -> np.ndarray:
     """Product metric: factor metrics glued along the Reeb directions.
 
     Block form: ``g`` on the first factor, ``g' + (a^2 + b^2 - 1)
     eta' (x) eta'`` on the second, and ``a eta (x) eta'`` across.
-    Positive definite exactly when ``b != 0``.  The factor arrays may
-    be adapted-frame model data or chart field values; leading axes
-    broadcast, so a stack of chart points gives a stack of metrics.
+    Positive definite exactly when ``b != 0``.  The factor records may
+    be adapted-frame models or chart fields; leading axes broadcast, so
+    a stack of chart points gives a stack of metrics.
     """
     a, b = params.a, params.b
-    m = g.shape[-1]
-    dim = m + g_prime.shape[-1]
-    g_bar = np.zeros(g.shape[:-2] + (dim, dim))
-    g_bar[..., :m, :m] = g
-    g_bar[..., m:, m:] = g_prime + (a * a + b * b - 1.0) * (
-        eta_prime[..., :, None] * eta_prime[..., None, :]
-    )
-    mixed = a * (eta[..., :, None] * eta_prime[..., None, :])
+    m = s.metric.shape[-1]
+    dim = m + s_prime.metric.shape[-1]
+    g_bar = np.zeros(s.metric.shape[:-2] + (dim, dim))
+    g_bar[..., :m, :m] = s.metric
+    g_bar[..., m:, m:] = s_prime.metric + (a * a + b * b - 1.0) * s_prime.eta_eta
+    mixed = a * (s.eta[..., :, None] * s_prime.eta[..., None, :])
     g_bar[..., :m, m:] = mixed
     g_bar[..., m:, :m] = np.swapaxes(mixed, -1, -2)
     return g_bar
 
 
 def product_complex_structure(
-    phi: np.ndarray,
-    xi: np.ndarray,
-    eta: np.ndarray,
-    phi_prime: np.ndarray,
-    xi_prime: np.ndarray,
-    eta_prime: np.ndarray,
-    params: HermitianParams,
+    s: SasakianStructure, s_prime: SasakianStructure, params: HermitianParams
 ) -> np.ndarray:
     """Compatible complex structure of the product.
 
@@ -136,18 +124,17 @@ def product_complex_structure(
     the Reeb plane onto itself:
     ``J X  = phi X  - (a/b) eta(X) xi + (1/b) eta(X) xi'`` and
     ``J X' = phi' X' - ((a^2+b^2)/b) eta'(X') xi + (a/b) eta'(X') xi'``.
-    Squares to minus the identity for every ``b != 0``.  The factor
-    arrays may be adapted-frame model data or chart field values, with
-    leading axes broadcast as in :func:`product_metric`.
+    Squares to minus the identity for every ``b != 0``.  Leading axes
+    of the factor records broadcast as in :func:`product_metric`.
     """
     a, b = params.a, params.b
-    m = phi.shape[-1]
-    dim = m + phi_prime.shape[-1]
-    j = np.zeros(phi.shape[:-2] + (dim, dim))
-    j[..., :m, :m] = phi - (a / b) * (xi[..., :, None] * eta[..., None, :])
-    j[..., m:, :m] = (1.0 / b) * (xi_prime[..., :, None] * eta[..., None, :])
-    j[..., :m, m:] = -((a * a + b * b) / b) * (xi[..., :, None] * eta_prime[..., None, :])
-    j[..., m:, m:] = phi_prime + (a / b) * (xi_prime[..., :, None] * eta_prime[..., None, :])
+    m = s.phi.shape[-1]
+    dim = m + s_prime.phi.shape[-1]
+    j = np.zeros(s.phi.shape[:-2] + (dim, dim))
+    j[..., :m, :m] = s.phi - (a / b) * (s.xi[..., :, None] * s.eta[..., None, :])
+    j[..., m:, :m] = (1.0 / b) * (s_prime.xi[..., :, None] * s.eta[..., None, :])
+    j[..., :m, m:] = -((a * a + b * b) / b) * (s.xi[..., :, None] * s_prime.eta[..., None, :])
+    j[..., m:, m:] = s_prime.phi + (a / b) * (s_prime.xi[..., :, None] * s_prime.eta[..., None, :])
     return j
 
 
@@ -157,22 +144,9 @@ def build_product_metric(
     params: HermitianParams,
 ) -> np.ndarray:
     """:func:`product_metric` of two factor models, certified positive definite."""
-    g_bar = product_metric(factor.g, factor.eta, factor_prime.g, factor_prime.eta, params)
+    g_bar = product_metric(factor, factor_prime, params)
     require_spd(g_bar, name="product metric")
     return g_bar
-
-
-def build_product_complex_structure(
-    factor: SasakianPointModel,
-    factor_prime: SasakianPointModel,
-    params: HermitianParams,
-) -> np.ndarray:
-    """:func:`product_complex_structure` of two factor models."""
-    return product_complex_structure(
-        factor.phi, factor.xi, factor.eta,
-        factor_prime.phi, factor_prime.xi, factor_prime.eta,
-        params,
-    )
 
 
 def build_nabla_j(
@@ -191,17 +165,15 @@ def build_nabla_j(
     a, b = params.a, params.b
     m = factor.dim
     dim = m + factor_prime.dim
-    g, eta, g_p, eta_p = factor.g, factor.eta, factor_prime.g, factor_prime.eta
-    gphi = factor.phi.T @ g  # entries g(phi e_x, e_y)
-    gphi_p = factor_prime.phi.T @ g_p
-    g_trans = g - np.outer(eta, eta)
-    g_trans_p = g_p - np.outer(eta_p, eta_p)
+    eta, eta_p = factor.eta, factor_prime.eta
     s1, s2 = slice(0, m), slice(m, dim)
     h = np.zeros((dim, dim, dim))
-    h[s1, s1, s1] = np.einsum("xy,z->xyz", g, eta)
-    h[s2, s2, s1] = np.einsum("xy,z->xyz", a * g_trans_p + b * gphi_p, eta)
-    h[s1, s2, s1] = np.einsum("xz,y->xyz", b * gphi - a * g_trans, eta_p)
-    h[s2, s2, s2] = (a * a + b * b) * np.einsum("xy,z->xyz", g_p, eta_p)
+    h[s1, s1, s1] = np.einsum("xy,z->xyz", factor.metric, eta)
+    h[s2, s2, s1] = np.einsum(
+        "xy,z->xyz", a * factor_prime.transverse + b * factor_prime.gphi, eta
+    )
+    h[s1, s2, s1] = np.einsum("xz,y->xyz", b * factor.gphi - a * factor.transverse, eta_p)
+    h[s2, s2, s2] = (a * a + b * b) * np.einsum("xy,z->xyz", factor_prime.metric, eta_p)
     return h - h.transpose(0, 2, 1)
 
 
@@ -223,14 +195,8 @@ def build_product_curvature(
     k = ab2 - 1.0
     m, mp = factor.dim, factor_prime.dim
     dim = m + mp
-    g, phi, eta, r_m = factor.g, factor.phi, factor.eta, factor.riemann
-    g_p, phi_p, eta_p, r_p = (
-        factor_prime.g, factor_prime.phi, factor_prime.eta, factor_prime.riemann,
-    )
-    gphi = phi.T @ g
-    gphi_p = phi_p.T @ g_p
-    g_trans = g - np.outer(eta, eta)
-    g_trans_p = g_p - np.outer(eta_p, eta_p)
+    g, eta, gphi = factor.metric, factor.eta, factor.gphi
+    g_p, eta_p, gphi_p = factor_prime.metric, factor_prime.eta, factor_prime.gphi
 
     slices = (slice(0, m), slice(m, dim))
     riemann = np.zeros((dim, dim, dim, dim))
@@ -250,7 +216,7 @@ def build_product_curvature(
                             sign_1 * sign_2 * block.transpose(axes)
                         )
 
-    place((0, 0, 0, 0), r_m)
+    place((0, 0, 0, 0), factor.riemann)
     place(
         (0, 1, 0, 0),
         -a * (np.einsum("y,xz,w->xyzw", eta_p, g, eta) - np.einsum("y,xw,z->xyzw", eta_p, g, eta)),
@@ -259,8 +225,8 @@ def build_product_curvature(
     place(
         (0, 1, 0, 1),
         a * np.einsum("xz,yw->xyzw", gphi, gphi_p)
-        - a * a * np.einsum("y,w,xz->xyzw", eta_p, eta_p, g_trans)
-        - a * a * np.einsum("x,z,yw->xyzw", eta, eta, g_trans_p),
+        - a * a * np.einsum("y,w,xz->xyzw", eta_p, eta_p, factor.transverse)
+        - a * a * np.einsum("x,z,yw->xyzw", eta, eta, factor_prime.transverse),
     )
     place(
         (1, 1, 1, 0),
@@ -280,7 +246,7 @@ def build_product_curvature(
         + np.einsum("xz,yw->xyzw", gphi_p, gphi_p)
         - np.einsum("yz,xw->xyzw", gphi_p, gphi_p)
     )
-    place((1, 1, 1, 1), r_p + k * (k + 2.0) * reeb_square + k * phi_square)
+    place((1, 1, 1, 1), factor_prime.riemann + k * (k + 2.0) * reeb_square + k * phi_square)
     return riemann
 
 
@@ -300,16 +266,14 @@ def build_product_ricci(
     m = factor.dim
     dim = m + factor_prime.dim
     ricci = np.zeros((dim, dim))
-    ricci[:m, :m] = factor.ricci + 2.0 * a * a * q * np.outer(factor.eta, factor.eta)
+    ricci[:m, :m] = factor.ricci + 2.0 * a * a * q * factor.eta_eta
     mixed = 2.0 * a * (p + q * s) * np.outer(factor.eta, factor_prime.eta)
     ricci[:m, m:] = mixed
     ricci[m:, :m] = mixed.T
     ricci[m:, m:] = (
         factor_prime.ricci
-        - 2.0 * (s - 1.0) * factor_prime.g
-        + 2.0
-        * (p * a * a + s - 1.0 + q * (s - 1.0) * (s + 1.0))
-        * np.outer(factor_prime.eta, factor_prime.eta)
+        - 2.0 * (s - 1.0) * factor_prime.metric
+        + 2.0 * (p * a * a + s - 1.0 + q * (s - 1.0) * (s + 1.0)) * factor_prime.eta_eta
     )
     return symmetrize(ricci)
 
@@ -330,10 +294,10 @@ def build_product_ricci_star(
     m = factor.dim
     dim = m + factor_prime.dim
     out = np.zeros((dim, dim))
-    out[:m, :m] = (1.0 - 2.0 * a * q) * (factor.g - np.outer(factor.eta, factor.eta))
-    out[m:, m:] = (1.0 - 2.0 * a * p - (2.0 * q + 1.0) * (a * a + b * b - 1.0)) * (
-        factor_prime.g - np.outer(factor_prime.eta, factor_prime.eta)
-    )
+    out[:m, :m] = (1.0 - 2.0 * a * q) * factor.transverse
+    out[m:, m:] = (
+        1.0 - 2.0 * a * p - (2.0 * q + 1.0) * (a * a + b * b - 1.0)
+    ) * factor_prime.transverse
     return out
 
 
@@ -348,7 +312,7 @@ def build_product_model(
     star-Ricci forms.
     """
     g_bar = build_product_metric(factor, factor_prime, params)
-    j_bar = build_product_complex_structure(factor, factor_prime, params)
+    j_bar = product_complex_structure(factor, factor_prime, params)
     nabla_j = build_nabla_j(factor, factor_prime, params)
     riemann_bar = build_product_curvature(factor, factor_prime, params)
     ricci_bar = build_product_ricci(factor, factor_prime, params)

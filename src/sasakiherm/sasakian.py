@@ -1,7 +1,9 @@
 """Closed-form pointwise models of Sasakian structures.
 
-A :class:`SasakianPointModel` packages the value of every structure
-tensor of a Sasakian manifold at a point, expressed in an adapted
+A :class:`SasakianStructure` records the tensors ``(g, phi, xi, eta)``;
+the factor models and the chart fields are such records.  A
+:class:`SasakianPointModel` extends it with the curvature, and holds the
+value of every structure tensor at a point, expressed in an adapted
 orthonormal frame: the metric is the identity, the Reeb vector ``xi``
 is the last basis vector, ``eta`` is its dual covector, and ``phi``
 rotates the remaining basis vectors in pairs
@@ -31,7 +33,37 @@ from .tensors import (
 
 
 @dataclass(frozen=True)
-class SasakianPointModel:
+class SasakianStructure:
+    """The structure tensors ``(g, phi, xi, eta)`` of a Sasakian manifold.
+
+    The arrays may be adapted-frame model data or chart field values;
+    leading axes stack points.  The pairings built from them that the
+    product formulas and the identity suites share are stated here once.
+    """
+
+    metric: np.ndarray
+    phi: np.ndarray
+    xi: np.ndarray
+    eta: np.ndarray
+
+    @property
+    def eta_eta(self) -> np.ndarray:
+        """``eta (x) eta``."""
+        return self.eta[..., :, None] * self.eta[..., None, :]
+
+    @property
+    def gphi(self) -> np.ndarray:
+        """Entries ``g(phi e_x, e_y)``."""
+        return np.swapaxes(self.phi, -1, -2) @ self.metric
+
+    @property
+    def transverse(self) -> np.ndarray:
+        """The transverse metric ``g - eta (x) eta``."""
+        return self.metric - self.eta_eta
+
+
+@dataclass(frozen=True)
+class SasakianPointModel(SasakianStructure):
     """Pointwise data of a Sasakian structure in an adapted frame.
 
     ``n`` counts the phi-rotated pairs; the dimension is ``2 n + 1``.
@@ -40,26 +72,26 @@ class SasakianPointModel:
     """
 
     n: int
-    g: np.ndarray
-    phi: np.ndarray
-    xi: np.ndarray
-    eta: np.ndarray
     riemann: np.ndarray
     ricci: np.ndarray
 
     def __post_init__(self):
-        for name in ("g", "phi", "xi", "eta", "riemann", "ricci"):
+        for name in ("metric", "phi", "xi", "eta", "riemann", "ricci"):
             arr = np.ascontiguousarray(np.asarray(getattr(self, name), dtype=float))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if self.g.shape != (self.dim, self.dim):
+        if self.metric.shape != (self.dim, self.dim):
             raise InvalidParameterError(
-                f"metric shape {self.g.shape} does not match dimension {self.dim}"
+                f"metric shape {self.metric.shape} does not match dimension {self.dim}"
             )
 
     @property
     def dim(self) -> int:
         return 2 * self.n + 1
+
+    def ricci_deviation(self, g_coeff: float, eta_coeff: float) -> float:
+        """``max |ricci - g_coeff g - eta_coeff eta (x) eta|``."""
+        return float(np.abs(self.ricci - g_coeff * self.metric - eta_coeff * self.eta_eta).max())
 
 
 @dataclass(frozen=True)
@@ -121,6 +153,11 @@ class SasakianIdentityResiduals:
         )
 
 
+# Bound on |c| of a space form: far enough inside the float range that the
+# curvature traces and the identity suite's fitted c = (2A - 3n + 1)/(n + 1) stay finite.
+MAX_SPACE_FORM_C = 1e300
+
+
 def _pairwise_rotation(p: int) -> np.ndarray:
     n = 2 * p + 1
     phi = np.zeros((n, n))
@@ -167,6 +204,10 @@ def make_space_form_model(q: int, c: float) -> SasakianPointModel:
     """Sasakian space form of constant phi-holomorphic sectional curvature ``c``."""
     if q < 1:
         raise InvalidParameterError(f"need at least one phi-pair, got {q}")
+    if not abs(c) <= MAX_SPACE_FORM_C:
+        raise InvalidParameterError(
+            f"space-form curvature c = {c!r} is outside |c| <= {MAX_SPACE_FORM_C:g}"
+        )
     dim = 2 * q + 1
     g = np.eye(dim)
     phi = _pairwise_rotation(q)
@@ -174,7 +215,7 @@ def make_space_form_model(q: int, c: float) -> SasakianPointModel:
     eta[-1] = 1.0
     riemann = _space_form_curvature(g, phi, eta, float(c))
     return SasakianPointModel(
-        n=q, g=g, phi=phi, xi=eta.copy(), eta=eta,
+        n=q, metric=g, phi=phi, xi=eta.copy(), eta=eta,
         riemann=riemann, ricci=symmetrize(contract_trace(riemann, g)),
     )
 
@@ -218,17 +259,15 @@ def space_form_ricci_exact(q: int, c: Fraction) -> tuple[Fraction, Fraction]:
     return g_coeff, eta_coeff
 
 
-def d_homothetic_structure(
-    g: np.ndarray, xi: np.ndarray, eta: np.ndarray, alpha: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """D-homothetic deformation of a metric, Reeb field and contact form.
+def d_homothetic_structure(s: SasakianStructure, alpha: float) -> SasakianStructure:
+    """D-homothetic deformation of a Sasakian structure.
 
-    Returns ``(alpha g + alpha (alpha - 1) eta (x) eta, xi / alpha,
-    alpha eta)``; ``phi`` is unchanged.  The arrays may be adapted-frame
-    model data or chart field values; leading axes broadcast.
+    The metric becomes ``alpha g + alpha (alpha - 1) eta (x) eta``, the
+    Reeb field ``xi / alpha`` and the contact form ``alpha eta``; ``phi``
+    is unchanged.  Leading axes of the record's arrays broadcast.
     """
-    eta_eta = eta[..., :, None] * eta[..., None, :]
-    return alpha * g + alpha * (alpha - 1.0) * eta_eta, xi / alpha, alpha * eta
+    metric = alpha * s.metric + alpha * (alpha - 1.0) * s.eta_eta
+    return SasakianStructure(metric=metric, phi=s.phi, xi=s.xi / alpha, eta=alpha * s.eta)
 
 
 def d_homothetic_deform(model: SasakianPointModel, alpha: float) -> SasakianPointModel:
@@ -246,11 +285,11 @@ def d_homothetic_deform(model: SasakianPointModel, alpha: float) -> SasakianPoin
     alpha = float(alpha)
     if not np.isfinite(alpha * alpha):  # the curvature shift carries (alpha - 1)^2
         raise InvalidParameterError(f"deformation parameter {alpha!r} has a square that overflows")
-    g, phi, xi, eta, riemann = model.g, model.phi, model.xi, model.eta, model.riemann
+    g, phi, xi, eta, riemann = model.metric, model.phi, model.xi, model.eta, model.riemann
     dim = model.dim
     ident = np.eye(dim)
-    gphi = phi.T @ g
-    g_new, xi_new, eta_new = d_homothetic_structure(g, xi, eta, alpha)
+    gphi = model.gphi
+    new = d_homothetic_structure(model, alpha)
 
     r13 = np.einsum("xyzw,wm->xyzm", riemann, np.linalg.inv(g))
     shift1 = (
@@ -266,18 +305,18 @@ def d_homothetic_deform(model: SasakianPointModel, alpha: float) -> SasakianPoin
         "x,z,ym->xyzm", eta, eta, ident
     )
     r13_new = r13 + (alpha - 1.0) * shift1 + (alpha - 1.0) ** 2 * shift2
-    r4_new = np.einsum("xyzm,wm->xyzw", r13_new, g_new)
+    r4_new = np.einsum("xyzm,wm->xyzw", r13_new, new.metric)
 
-    frame = adapted_frame(g_new, phi, xi_new)
+    frame = adapted_frame(new.metric, phi, new.xi)
     frame_inv = np.linalg.inv(frame)
-    g_hat = symmetrize(frame.T @ g_new @ frame)
+    g_hat = symmetrize(frame.T @ new.metric @ frame)
     phi_hat = frame_inv @ phi @ frame
-    xi_hat = frame_inv @ xi_new
-    eta_hat = frame.T @ eta_new
+    xi_hat = frame_inv @ new.xi
+    eta_hat = frame.T @ new.eta
     r_hat = np.einsum("ia,jb,kc,ld,ijkl->abcd", frame, frame, frame, frame, r4_new)
     ricci_hat = symmetrize(contract_trace(r_hat, g_hat))
     return SasakianPointModel(
-        n=model.n, g=g_hat, phi=phi_hat, xi=xi_hat, eta=eta_hat,
+        n=model.n, metric=g_hat, phi=phi_hat, xi=xi_hat, eta=eta_hat,
         riemann=r_hat, ricci=ricci_hat,
     )
 
@@ -290,12 +329,10 @@ def classify_eta_einstein(model: SasakianPointModel) -> EtaEinsteinCoefficients:
     variation of the diagonal across the remaining directions, so a poor
     fit is signaled by the residual, never an exception.
     """
-    ricci, g, eta = model.ricci, model.g, model.eta
+    ricci, g = model.ricci, model.metric
     g_coeff = float(ricci[0, 0] / g[0, 0])
     eta_coeff = float(ricci[-1, -1] - g_coeff * g[-1, -1])
-    residual = float(
-        np.abs(ricci - g_coeff * g - eta_coeff * np.outer(eta, eta)).max()
-    )
+    residual = model.ricci_deviation(g_coeff, eta_coeff)
     return EtaEinsteinCoefficients(g_coeff=g_coeff, eta_coeff=eta_coeff, residual=residual)
 
 
@@ -311,9 +348,8 @@ def verify_sasakian_curvature_identities(
     checked.
     """
     n, g, phi, eta, riemann, ricci = (
-        model.n, model.g, model.phi, model.eta, model.riemann, model.ricci,
+        model.n, model.metric, model.phi, model.eta, model.riemann, model.ricci,
     )
-    gphi_left = phi.T @ g  # g(phi ., .)
     ricci_phi = ricci @ phi  # Ric(., phi .)
 
     def exchange(curvature):
@@ -328,7 +364,7 @@ def verify_sasakian_curvature_identities(
     # trace identities run over a metric-orthonormal frame
     frame = orthonormal_frame(g)
     phi_frame = phi @ frame
-    pair_target = 2.0 * ricci_phi + 2.0 * (2 * n - 1) * gphi_left
+    pair_target = 2.0 * ricci_phi + 2.0 * (2 * n - 1) * model.gphi
 
     # the traced phi-exchange right-hand side is -3/2 of the pair trace's
     tr1 = np.einsum("xyab,ai,bi->xy", riemann, phi_frame, frame) - np.einsum(
@@ -340,7 +376,7 @@ def verify_sasakian_curvature_identities(
     phi_pair_trace = float(np.abs(tr2 - pair_target).max())
 
     tr3 = np.einsum("xmab,my,ai,bi->xy", riemann, phi, frame, phi_frame, optimize=True)
-    target = -2.0 * ricci + 2.0 * (2 * n - 1) * g + 2.0 * np.outer(eta, eta)
+    target = -2.0 * ricci + 2.0 * (2 * n - 1) * g + 2.0 * model.eta_eta
     shifted_phi_pair_trace = float(np.abs(tr3 - target).max())
 
     return SasakianIdentityResiduals(
@@ -360,7 +396,7 @@ def sasakian_structure_residuals(model: SasakianPointModel) -> dict[str, float]:
     trace, and the algebraic curvature symmetries.
     """
     g, phi, xi, eta, riemann, ricci = (
-        model.g, model.phi, model.xi, model.eta, model.riemann, model.ricci,
+        model.metric, model.phi, model.xi, model.eta, model.riemann, model.ricci,
     )
     dim = model.dim
     ident = np.eye(dim)
@@ -370,9 +406,7 @@ def sasakian_structure_residuals(model: SasakianPointModel) -> dict[str, float]:
     out["phi_squared"] = float(np.abs(phi @ phi + ident - np.outer(xi, eta)).max())
     out["phi_kills_xi"] = float(np.abs(phi @ xi).max())
     out["eta_kills_phi"] = float(np.abs(eta @ phi).max())
-    out["phi_metric_compatibility"] = float(
-        np.abs(phi.T @ g @ phi - (g - np.outer(eta, eta))).max()
-    )
+    out["phi_metric_compatibility"] = float(np.abs(model.gphi @ phi - model.transverse).max())
     reeb = np.einsum("xyzw,z->xyw", riemann, xi)
     reeb_target = np.einsum("y,xw->xyw", eta, g) - np.einsum("x,yw->xyw", eta, g)
     out["reeb_curvature"] = float(np.abs(reeb - reeb_target).max())

@@ -34,6 +34,7 @@ from sasakiherm.product import (
 )
 from sasakiherm.sasakian import (
     SasakianPointModel,
+    SasakianStructure,
     d_homothetic_deform,
     make_round_sphere_model,
     verify_sasakian_curvature_identities,
@@ -252,6 +253,23 @@ class TestCanonicalFields:
             npt.assert_allclose(nabla_eta, -(f.phi.T @ f.metric), atol=1e-6)
 
 
+def test_chart_fields_and_factor_models_share_one_record(rng):
+    # a stack of chart fields and an adapted-frame model carry the same
+    # derived pairings, each equal to its explicit formula
+    stack = FactorChart(SphereChart(4), alpha=0.5).fields(sample_chart_points(rng, 3, count=3))
+    model = d_homothetic_deform(make_round_sphere_model(2), 0.5)
+    for record in (stack, model):
+        assert isinstance(record, SasakianStructure)
+        eta_eta = np.einsum("...x,...y->...xy", record.eta, record.eta)
+        npt.assert_array_equal(record.eta_eta, eta_eta)
+        npt.assert_array_equal(record.transverse, record.metric - eta_eta)
+        npt.assert_allclose(
+            record.gphi, np.einsum("...ax,...ay->...xy", record.phi, record.metric),
+            rtol=1e-14, atol=1e-15,
+        )
+    assert stack.metric.shape == (3, 3, 3)
+
+
 class TestChristoffels:
     def test_flat_metric_gives_zero(self):
         flat = lambda u: np.broadcast_to(np.eye(3), u.shape[:-1] + (3, 3))
@@ -342,7 +360,7 @@ class TestRiemannFD:
         metric = frame.T @ fields.metric @ frame
         riemann = np.einsum("ia,jb,kc,ld,ijkl->abcd", frame, frame, frame, frame, riemann)
         model = SasakianPointModel(
-            n=q, g=metric, phi=frame_inv @ fields.phi @ frame, xi=frame_inv @ fields.xi,
+            n=q, metric=metric, phi=frame_inv @ fields.phi @ frame, xi=frame_inv @ fields.xi,
             eta=frame.T @ fields.eta, riemann=riemann, ricci=contract_trace(riemann, metric),
         )
         assert verify_sasakian_curvature_identities(model).max_residual() <= 1e-6
@@ -408,13 +426,8 @@ class TestStencilBatches:
                 npt.assert_allclose(evaluate(stack), [evaluate(u) for u in stack], rtol=1e-14)
             # each row is the shared block formula of the factor fields
             f1, f2 = fc1.fields(stack[0, :3]), fc2.fields(stack[0, 3:])
-            assert np.array_equal(
-                metric_fn(stack[0]), product_metric(f1.metric, f1.eta, f2.metric, f2.eta, params)
-            )
-            assert np.array_equal(
-                j_fn(stack[0]),
-                product_complex_structure(f1.phi, f1.xi, f1.eta, f2.phi, f2.xi, f2.eta, params),
-            )
+            assert np.array_equal(metric_fn(stack[0]), product_metric(f1, f2, params))
+            assert np.array_equal(j_fn(stack[0]), product_complex_structure(f1, f2, params))
 
     def test_one_call_per_axis_and_per_pair(self):
         # the chunk sizes bound the memory of a stencil: one axis or one pair

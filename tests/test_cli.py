@@ -17,6 +17,7 @@ import sasakiherm.product
 from sasakiherm.cli import (
     _FLAGS,
     COMMANDS,
+    MAX_PHI_PAIRS,
     CheckRecord,
     Report,
     build_parser,
@@ -350,6 +351,30 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err == f"error: scan grid has {cells} cells, more than 100000\n"
+
+    @pytest.mark.parametrize("c", ["1e308", "-1e308"])
+    @pytest.mark.parametrize("command", ["verify-factor", "verify-product", "einstein"])
+    def test_space_form_past_the_curvature_bound_is_usage_error(self, capsys, command, c):
+        # RuntimeWarnings are errors under pytest: the value is rejected before it overflows
+        code, out, err = run_cli([command, "--p", "1", "--factor", f"space-form:{c}"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: space-form curvature c = {float(c)!r} is outside |c| <= 1e+300\n"
+
+    @pytest.mark.parametrize("size", ["1000", str(10**9)])
+    @pytest.mark.parametrize(
+        "command,flag",
+        [(name, key) for name, (_, keys, _) in COMMANDS.items() for key in ("p", "q")
+         if key in keys],
+    )
+    def test_phi_pairs_past_the_bound_is_usage_error(self, capsys, command, flag, size):
+        # rejected before any factor is built
+        start = time.perf_counter()
+        code, out, err = run_cli([command, f"--{flag}", size], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --{flag} {size} is more than {MAX_PHI_PAIRS} phi-pairs\n"
 
     @pytest.mark.parametrize("flag", ["--p", "--q"])
     def test_example_without_phi_pairs_is_usage_error(self, capsys, flag):

@@ -169,17 +169,17 @@ def test_disagreement_between_routes_raises():
     lam = 2.0 * (p + q * s)
     base = make_round_sphere_model(p)
     rigged = type(base)(
-        n=base.n, g=base.g, phi=base.phi, xi=base.xi, eta=base.eta,
+        n=base.n, metric=base.metric, phi=base.phi, xi=base.xi, eta=base.eta,
         riemann=base.riemann,
-        ricci=lam * base.g - 2.0 * a * a * q * np.outer(base.eta, base.eta),
+        ricci=lam * base.metric - 2.0 * a * a * q * np.outer(base.eta, base.eta),
     )
     prime_ricci = (
-        (lam + 2.0 * (s - 1.0)) * base.g
+        (lam + 2.0 * (s - 1.0)) * base.metric
         + (lam * (s - 1.0) - 2.0 * (p * a * a + s - 1.0 + q * (s - 1.0) * (s + 1.0)))
         * np.outer(base.eta, base.eta)
     )
     rigged_prime = type(base)(
-        n=base.n, g=base.g, phi=base.phi, xi=base.xi, eta=base.eta,
+        n=base.n, metric=base.metric, phi=base.phi, xi=base.xi, eta=base.eta,
         riemann=base.riemann, ricci=prime_ricci,
     )
     with pytest.raises(ConsistencyError):

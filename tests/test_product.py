@@ -10,7 +10,6 @@ from sasakiherm.errors import InvalidParameterError
 from sasakiherm.product import (
     HermitianParams,
     build_nabla_j,
-    build_product_complex_structure,
     build_product_curvature,
     build_product_metric,
     build_product_model,
@@ -20,6 +19,7 @@ from sasakiherm.product import (
     check_not_kahler,
     check_weakly_star_einstein,
     integrability_residual,
+    product_complex_structure,
     scalar_curvatures,
 )
 from sasakiherm.sasakian import d_homothetic_deform, make_round_sphere_model, make_space_form_model
@@ -85,7 +85,7 @@ class TestProductMetric:
 class TestComplexStructure:
     def test_riemannian_product_case(self):
         factor, factor_prime = spheres(1, 1)
-        j = build_product_complex_structure(factor, factor_prime, HermitianParams(0.0, 1.0))
+        j = product_complex_structure(factor, factor_prime, HermitianParams(0.0, 1.0))
         xi = np.zeros(6)
         xi[2] = 1.0
         xi_prime = np.zeros(6)
@@ -101,7 +101,7 @@ class TestComplexStructure:
 
     def test_reeb_plane_action_at_unit_parameters(self):
         factor, factor_prime = spheres(1, 1)
-        j = build_product_complex_structure(factor, factor_prime, HermitianParams(1.0, 1.0))
+        j = product_complex_structure(factor, factor_prime, HermitianParams(1.0, 1.0))
         xi = np.zeros(6)
         xi[2] = 1.0
         xi_prime = np.zeros(6)
@@ -112,7 +112,7 @@ class TestComplexStructure:
     @pytest.mark.parametrize("a,b", PARAM_GRID)
     def test_squares_to_minus_identity(self, a, b):
         factor, factor_prime = spheres(2, 1)
-        j = build_product_complex_structure(factor, factor_prime, HermitianParams(a, b))
+        j = product_complex_structure(factor, factor_prime, HermitianParams(a, b))
         npt.assert_allclose(j @ j, -np.eye(8), atol=1e-14)
 
     @pytest.mark.parametrize("a,b", PARAM_GRID)
@@ -120,7 +120,7 @@ class TestComplexStructure:
         factor, factor_prime = spheres(1, 2)
         params = HermitianParams(a, b)
         g_bar = build_product_metric(factor, factor_prime, params)
-        j = build_product_complex_structure(factor, factor_prime, params)
+        j = product_complex_structure(factor, factor_prime, params)
         npt.assert_allclose(j.T @ g_bar @ j, g_bar, atol=1e-12)
 
 

@@ -1,5 +1,6 @@
 """Sasakian factor models: spheres, space forms, deformations, identity suites."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from sasakiherm.errors import InvalidParameterError
 from sasakiherm.sasakian import (
+    MAX_SPACE_FORM_C,
     classify_eta_einstein,
     d_homothetic_deform,
     make_round_sphere_model,
@@ -24,7 +26,7 @@ def phi_sectional_curvature(model):
     """Sectional curvature of the plane spanned by the first basis vector and its phi-image."""
     x = np.zeros(model.dim)
     x[0] = 1.0
-    return sectional_curvature(model.riemann, model.g, x, model.phi @ x)
+    return sectional_curvature(model.riemann, model.metric, x, model.phi @ x)
 
 
 class TestRoundSphere:
@@ -32,7 +34,7 @@ class TestRoundSphere:
     def test_einstein_with_constant_two_p(self, p):
         model = make_round_sphere_model(p)
         assert model.dim == 2 * p + 1
-        npt.assert_allclose(model.ricci, 2 * p * model.g, atol=1e-14)
+        npt.assert_allclose(model.ricci, 2 * p * model.metric, atol=1e-14)
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_structure_relations(self, p):
@@ -42,8 +44,8 @@ class TestRoundSphere:
     def test_reeb_curvature_identity(self):
         model = make_round_sphere_model(2)
         reeb = np.einsum("xyzw,z->xyw", model.riemann, model.xi)
-        expected = np.einsum("y,xw->xyw", model.eta, model.g) - np.einsum(
-            "x,yw->xyw", model.eta, model.g
+        expected = np.einsum("y,xw->xyw", model.eta, model.metric) - np.einsum(
+            "x,yw->xyw", model.eta, model.metric
         )
         npt.assert_allclose(reeb, expected, atol=0)
 
@@ -53,6 +55,18 @@ class TestRoundSphere:
 
 
 class TestSpaceForm:
+    @pytest.mark.parametrize("c", [1e308, -1e308, 8e307, np.inf, np.nan])
+    def test_curvature_past_the_bound_is_rejected(self, c):
+        with pytest.raises(InvalidParameterError, match=re.escape(f"c = {c!r} is outside")):
+            make_space_form_model(5, c)
+
+    @pytest.mark.parametrize("c", [MAX_SPACE_FORM_C, -MAX_SPACE_FORM_C])
+    def test_curvature_at_the_bound_stays_finite(self, c):
+        # RuntimeWarnings are errors under pytest, so no step overflows
+        model = make_space_form_model(5, c)
+        assert np.isfinite(model.riemann).all() and np.isfinite(model.ricci).all()
+        assert np.isfinite(verify_sasakian_curvature_identities(model).max_residual())
+
     def test_unit_curvature_reduces_to_round_sphere(self):
         sphere = make_round_sphere_model(2)
         space_form = make_space_form_model(2, 1.0)
@@ -61,15 +75,15 @@ class TestSpaceForm:
 
     def test_ricci_coefficients_q1_c5(self):
         model = make_space_form_model(1, 5.0)
-        expected = 6.0 * model.g - 4.0 * np.outer(model.eta, model.eta)
+        expected = 6.0 * model.metric - 4.0 * np.outer(model.eta, model.eta)
         npt.assert_allclose(model.ricci, expected, atol=1e-13)
 
     def test_ricci_coefficients_q2_c3(self):
         # oracle: trace the curvature directly; closed form gives 7g - 3 eta(x)eta
         model = make_space_form_model(2, 3.0)
-        traced = contract_trace(model.riemann, model.g)
+        traced = contract_trace(model.riemann, model.metric)
         npt.assert_allclose(model.ricci, traced, atol=1e-13)
-        expected = 7.0 * model.g - 3.0 * np.outer(model.eta, model.eta)
+        expected = 7.0 * model.metric - 3.0 * np.outer(model.eta, model.eta)
         npt.assert_allclose(traced, expected, atol=1e-13)
 
     @pytest.mark.parametrize("q,c", [(1, 5.0), (2, 7.0), (2, -1.0), (3, 3.0)])
@@ -87,7 +101,7 @@ class TestSpaceForm:
         # (nabla phi): R(X,Y,phiZ,W) + R(X,Y,Z,phiW) equals an explicit
         # g/phi expression; certifies the models carry Sasakian curvature
         model = make_space_form_model(q, c)
-        g, phi, riemann = model.g, model.phi, model.riemann
+        g, phi, riemann = model.metric, model.phi, model.riemann
         gphi = phi.T @ g
         lhs = np.einsum("xyaw,az->xyzw", riemann, phi) + np.einsum(
             "xyza,aw->xyzw", riemann, phi
@@ -121,7 +135,7 @@ class TestEtaEinsteinClassification:
         ricci[0, 1] += 0.1
         ricci[1, 0] += 0.1
         perturbed = type(model)(
-            n=model.n, g=model.g, phi=model.phi, xi=model.xi, eta=model.eta,
+            n=model.n, metric=model.metric, phi=model.phi, xi=model.xi, eta=model.eta,
             riemann=model.riemann, ricci=ricci,
         )
         assert classify_eta_einstein(perturbed).residual >= 0.1
@@ -137,7 +151,7 @@ class TestCurvatureIdentitySuite:
         # with R = 0 the phi-pair trace identity residual is 2 max|g(phiX, Y)| = 2
         model = make_round_sphere_model(1)
         flat = type(model)(
-            n=1, g=model.g, phi=model.phi, xi=model.xi, eta=model.eta,
+            n=1, metric=model.metric, phi=model.phi, xi=model.xi, eta=model.eta,
             riemann=np.zeros((3, 3, 3, 3)), ricci=np.zeros((3, 3)),
         )
         residuals = verify_sasakian_curvature_identities(flat)
@@ -158,7 +172,7 @@ class TestCurvatureIdentitySuite:
         # tensor makes the suite use exactly its c = 1 right-hand sides
         space_form = make_space_form_model(q, c)
         mismatched = type(space_form)(
-            n=q, g=space_form.g, phi=space_form.phi, xi=space_form.xi, eta=space_form.eta,
+            n=q, metric=space_form.metric, phi=space_form.phi, xi=space_form.xi, eta=space_form.eta,
             riemann=space_form.riemann, ricci=make_round_sphere_model(q).ricci,
         )
         residuals = verify_sasakian_curvature_identities(mismatched)
@@ -197,8 +211,8 @@ class TestCurvatureIdentitySuite:
             omega = np.outer(v, sphere.phi @ v) - np.outer(sphere.phi @ v, v)
             riemann += rng.normal() * np.einsum("xy,zw->xyzw", omega, omega)
         model = type(sphere)(
-            n=q, g=sphere.g, phi=sphere.phi, xi=sphere.xi, eta=sphere.eta,
-            riemann=riemann, ricci=contract_trace(riemann, sphere.g),
+            n=q, metric=sphere.metric, phi=sphere.phi, xi=sphere.xi, eta=sphere.eta,
+            riemann=riemann, ricci=contract_trace(riemann, sphere.metric),
         )
         assert max(sasakian_structure_residuals(model).values()) <= 1e-12
         residuals = verify_sasakian_curvature_identities(model)
@@ -213,7 +227,7 @@ class TestDHomotheticDeformation:
     def test_alpha_one_is_identity(self):
         model = make_round_sphere_model(2)
         deformed = d_homothetic_deform(model, 1.0)
-        npt.assert_allclose(deformed.g, model.g, atol=1e-14)
+        npt.assert_allclose(deformed.metric, model.metric, atol=1e-14)
         npt.assert_allclose(deformed.phi, model.phi, atol=1e-14)
         npt.assert_allclose(deformed.riemann, model.riemann, atol=1e-13)
 
