@@ -380,6 +380,8 @@ _SCAN_CELLS = {  # --check value -> (anchor, residual of one (a, b) cell)
 
 
 MAX_SCAN_CELLS = 10**5
+# Each sample point costs one oracle comparison (about a second at N = 22).
+MAX_ORACLE_POINTS = 10**4
 # At this bound one rank-4 tensor of the product (N = 42) takes 25 MB.
 MAX_PHI_PAIRS = 10
 
@@ -408,6 +410,10 @@ def _run_scan(args) -> tuple[list[CheckRecord], dict]:
 def _run_oracle_compare(args) -> tuple[list[CheckRecord], dict]:
     if args.points < 1:
         raise InvalidParameterError(f"need at least one sample point, got --points {args.points}")
+    if args.points > MAX_ORACLE_POINTS:
+        raise InvalidParameterError(
+            f"--points {args.points} is more than {MAX_ORACLE_POINTS} sample points"
+        )
     if args.seed < 0:
         raise InvalidParameterError(f"seed must be non-negative, got --seed {args.seed}")
     spec, spec_prime = parse_factor_spec(args.factor), parse_factor_spec(args.factor_prime)

@@ -173,22 +173,16 @@ def _space_form_curvature(g, phi, eta, c) -> np.ndarray:
     The literals are integers, so ``Fraction`` object arrays and ``c``
     give the curvature in exact arithmetic and floats give it in floats.
     """
+    outer = np.multiply.outer
     gphi = phi.T @ g  # entries g(phi e_x, e_y)
     coeff_round = (c + 3) / 4
     coeff_phi = (c - 1) / 4
-    gg = np.einsum("yz,xw->xyzw", g, g) - np.einsum("xz,yw->xyzw", g, g)
-    ee = (
-        np.einsum("x,z,yw->xyzw", eta, eta, g)
-        - np.einsum("y,z,xw->xyzw", eta, eta, g)
-        + np.einsum("xz,y,w->xyzw", g, eta, eta)
-        - np.einsum("yz,x,w->xyzw", g, eta, eta)
-    )
-    pp = (
-        np.einsum("yz,xw->xyzw", gphi, gphi)
-        - np.einsum("xz,yw->xyzw", gphi, gphi)
-        - 2 * np.einsum("xy,zw->xyzw", gphi, gphi)
-    )
-    return coeff_round * gg + coeff_phi * (ee + pp)
+    ee = outer(eta, eta)
+    phi_phi = outer(coeff_phi * gphi, gphi)
+    # the terms that join slots (y, z) and (x, w), indexed [y, z, x, w]; the
+    # ones that join (x, z) and (y, w) are the same tensor with x and y swapped
+    pairs = outer(g, coeff_round * g - coeff_phi * ee) + phi_phi - outer(coeff_phi * ee, g)
+    return pairs.transpose(2, 0, 1, 3) - pairs.transpose(0, 2, 1, 3) - 2 * phi_phi
 
 
 def make_round_sphere_model(p: int) -> SasakianPointModel:
@@ -353,29 +347,30 @@ def verify_sasakian_curvature_identities(
     ricci_phi = ricci @ phi  # Ric(., phi .)
 
     def exchange(curvature):
-        return np.einsum("xyaw,az->xyzw", curvature, phi) - np.einsum(
-            "axyw,az->xyzw", curvature, phi
-        )
+        # R(X, Y, phi Z, W) - R(phi Z, X, Y, W), both contracted as [x, y, w, z]
+        swapped = np.tensordot(curvature, phi, ([2], [0]))
+        swapped -= np.tensordot(curvature, phi, ([0], [0]))
+        return swapped.transpose(0, 1, 3, 2)
 
     c = (2.0 * classify_eta_einstein(model).g_coeff - 3.0 * n + 1.0) / (n + 1.0)
     space_form = _space_form_curvature(g, phi, eta, c)
     phi_exchange = float(np.abs(exchange(riemann) - exchange(space_form)).max())
 
-    # trace identities run over a metric-orthonormal frame
+    # trace identities run over a metric-orthonormal frame e_i, through the
+    # one operator pair = sum_i phi e_i (x) e_i
     frame = orthonormal_frame(g)
-    phi_frame = phi @ frame
+    pair = (phi @ frame) @ frame.T
     pair_target = 2.0 * ricci_phi + 2.0 * (2 * n - 1) * model.gphi
 
     # the traced phi-exchange right-hand side is -3/2 of the pair trace's
-    tr1 = np.einsum("xyab,ai,bi->xy", riemann, phi_frame, frame) - np.einsum(
-        "axyb,ai,bi->xy", riemann, phi_frame, frame
-    )
+    tr1 = np.tensordot(riemann, pair, ([2, 3], [0, 1]))
+    tr1 -= np.tensordot(riemann, pair, ([0, 3], [0, 1]))
     traced_phi_exchange = float(np.abs(tr1 + 1.5 * pair_target).max())
 
-    tr2 = np.einsum("xyab,ai,bi->xy", riemann, frame, phi_frame)
+    tr2 = np.tensordot(riemann, pair, ([2, 3], [1, 0]))  # sum_i R(X, Y, e_i, phi e_i)
     phi_pair_trace = float(np.abs(tr2 - pair_target).max())
 
-    tr3 = np.einsum("xmab,my,ai,bi->xy", riemann, phi, frame, phi_frame, optimize=True)
+    tr3 = tr2 @ phi  # sum_i R(X, phi Y, e_i, phi e_i)
     target = -2.0 * ricci + 2.0 * (2 * n - 1) * g + 2.0 * model.eta_eta
     shifted_phi_pair_trace = float(np.abs(tr3 - target).max())
 
@@ -411,11 +406,10 @@ def sasakian_structure_residuals(model: SasakianPointModel) -> dict[str, float]:
     reeb_target = np.einsum("y,xw->xyw", eta, g) - np.einsum("x,yw->xyw", eta, g)
     out["reeb_curvature"] = float(np.abs(reeb - reeb_target).max())
     out["ricci_reeb"] = float(np.abs(ricci @ xi - 2.0 * model.n * eta).max())
-    out["ricci_is_curvature_trace"] = float(
-        np.abs(ricci - contract_trace(riemann, g)).max()
-    )
+    ricci_from_riemann = contract_trace(riemann, g)
+    out["ricci_is_curvature_trace"] = float(np.abs(ricci - ricci_from_riemann).max())
     out.update(curvature_symmetry_residuals(riemann))
     scalar_from_ricci = float(contract_trace(ricci, g))
-    scalar_from_riemann = float(contract_trace(contract_trace(riemann, g), g))
+    scalar_from_riemann = float(contract_trace(ricci_from_riemann, g))
     out["scalar_curvature_trace_consistency"] = abs(scalar_from_ricci - scalar_from_riemann)
     return out

@@ -31,6 +31,12 @@ def symmetrize(form: np.ndarray) -> np.ndarray:
     return 0.5 * form + 0.5 * form.T
 
 
+# A metric is indefinite when its smallest eigenvalue is below -INDEFINITE_RATIO,
+# and singular when it is at most SINGULAR_RATIO, times max(1, max |eigenvalue|).
+INDEFINITE_RATIO = 1e-10
+SINGULAR_RATIO = 1e-13
+
+
 def require_spd(metric: np.ndarray, name: str = "metric") -> None:
     """Raise unless ``metric`` is symmetric positive definite.
 
@@ -43,14 +49,20 @@ def require_spd(metric: np.ndarray, name: str = "metric") -> None:
         raise SingularMetricError(f"{name} must be square, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise SingularMetricError(f"{name} has non-finite entries")
-    if not np.allclose(m, m.T, rtol=0.0, atol=1e-10 * max(1.0, np.abs(m).max())):
+    # the entries are finite here, so no NaN can slip past this comparison
+    if np.abs(m - m.T).max() > 1e-10 * max(1.0, np.abs(m).max()):
         raise SingularMetricError(f"{name} is not symmetric")
     eigvals = np.linalg.eigvalsh(symmetrize(m))
+    lo = float(eigvals.min())
     scale = max(1.0, float(np.abs(eigvals).max()))
-    if eigvals.min() < -1e-10 * scale:
-        raise IndefiniteMetricError(f"{name} is indefinite (min eigenvalue {eigvals.min():g})")
-    if eigvals.min() <= 1e-13 * scale:
-        raise SingularMetricError(f"{name} is singular (min eigenvalue {eigvals.min():g})")
+    if lo <= SINGULAR_RATIO * scale:
+        spectrum = (f"eigenvalues {lo:g} to {eigvals.max():g}; "
+                    f"min over max(1, max |eigenvalue|) = {lo / scale:.3g}")
+        if lo < -INDEFINITE_RATIO * scale:
+            raise IndefiniteMetricError(
+                f"{name} is indefinite ({spectrum}, below {-INDEFINITE_RATIO:g})"
+            )
+        raise SingularMetricError(f"{name} is singular ({spectrum}, at most {SINGULAR_RATIO:g})")
 
 
 def contract_trace(tensor: np.ndarray, metric: np.ndarray) -> np.ndarray:

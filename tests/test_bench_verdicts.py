@@ -1,12 +1,15 @@
 """Every benchmark op reproduces its reference verdicts, or the change is a known one.
 
 Replays the benchmark's correctness ledger: the ops of ``bench/workloads.py``
-at workload seed 1 run through the CLI, and ``bench/verdicts.py`` compares
+run through the CLI, and ``bench/verdicts.py`` compares
 their verdicts with the table in ``bench/reference.json``.  An op is
 correct when every verdict it changes carries a known reason and it
 neither raises nor exits 2, unless the table records that exit as known.
-The ``examples`` ops with ``q > 3`` are left out for time; they differ from
-the rest only in the size of the deformed factor.
+The ``verify`` and ``oracle`` ops, whose arguments depend on the workload
+seed, run at seeds 1 and 2; the test ids of seed 2 end in ``/seed2``.  The
+``examples`` ops do not depend on it and run once; those with ``q > 3`` are
+left out for time, as they differ from the rest only in the size of the
+deformed factor.
 """
 
 import importlib.util
@@ -19,7 +22,6 @@ import pytest
 from sasakiherm.cli import main
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
-SEED = 1
 
 
 def load(name: str):
@@ -34,10 +36,15 @@ workloads = load("workloads")
 verdicts = load("verdicts")
 REFERENCE = verdicts.load()
 
-OPS = [
-    *(op for op in workloads.examples_ops(SEED) if int(op.argv[-1]) <= 3),
-    *workloads.verify_ops(SEED),
-    *workloads.oracle_ops(SEED),
+
+def seeded_ops(seed: int):
+    return [*workloads.verify_ops(seed), *workloads.oracle_ops(seed)]
+
+
+CASES = [
+    *((op.id, op) for op in workloads.examples_ops(1) if int(op.argv[-1]) <= 3),
+    *((op.id, op) for op in seeded_ops(1)),
+    *((f"{op.id}/seed2", op) for op in seeded_ops(2)),
 ]
 
 
@@ -54,7 +61,7 @@ def run_op(op, capsys):
     return code, checks
 
 
-@pytest.mark.parametrize("op", OPS, ids=[op.id for op in OPS])
+@pytest.mark.parametrize("op", [op for _, op in CASES], ids=[case_id for case_id, _ in CASES])
 def test_op_reproduces_reference_verdicts(op, capsys):
     reference = REFERENCE[op.id]
     code, checks = run_op(op, capsys)

@@ -17,6 +17,7 @@ import sasakiherm.product
 from sasakiherm.cli import (
     _FLAGS,
     COMMANDS,
+    MAX_ORACLE_POINTS,
     MAX_PHI_PAIRS,
     CheckRecord,
     Report,
@@ -305,6 +306,9 @@ class TestExitCodes:
             ("scan", "--b", "x", "needs numbers"),
             ("oracle-compare", "--p", "0", "need at least one phi-pair, got 0"),
             ("oracle-compare", "--q", "-1", "need at least one phi-pair, got -1"),
+            # a valid factor whose chart metric has eigenvalue ratio 6e-16
+            ("oracle-compare", "--factor-prime", "space-form:-2.9999999",
+             "metric is singular (eigenvalues "),
         ):
             code, out, err = run_cli([command, "--p", "1", "--q", "1", flag, value], capsys)
             assert code == 2
@@ -388,6 +392,16 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "need at least one sample point" in err
+
+    @pytest.mark.parametrize("points", ["100000000", "10000000000000"])
+    def test_oracle_compare_past_the_point_bound_is_usage_error(self, capsys, points):
+        # rejected before any point is sampled
+        start = time.perf_counter()
+        code, out, err = run_cli(["oracle-compare", "--points", points], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --points {points} is more than {MAX_ORACLE_POINTS} sample points\n"
 
     def test_unwritable_output_path(self, capsys, tmp_path):
         target = tmp_path / "missing" / "report.json"

@@ -7,9 +7,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from conftest import random_curvature_like, random_spd
 from sasakiherm.errors import InvalidParameterError
 from sasakiherm.sasakian import (
     MAX_SPACE_FORM_C,
+    _space_form_curvature,
     classify_eta_einstein,
     d_homothetic_deform,
     make_round_sphere_model,
@@ -19,7 +21,88 @@ from sasakiherm.sasakian import (
     space_form_ricci_exact,
     verify_sasakian_curvature_identities,
 )
-from sasakiherm.tensors import contract_trace, sectional_curvature
+from sasakiherm.tensors import contract_trace, orthonormal_frame, sectional_curvature
+
+
+def space_form_curvature_einsum(g, phi, eta, c):
+    """Reference space-form curvature: one rank-4 einsum per term."""
+    gphi = phi.T @ g
+    coeff_round = (c + 3) / 4
+    coeff_phi = (c - 1) / 4
+    gg = np.einsum("yz,xw->xyzw", g, g) - np.einsum("xz,yw->xyzw", g, g)
+    ee = (
+        np.einsum("x,z,yw->xyzw", eta, eta, g)
+        - np.einsum("y,z,xw->xyzw", eta, eta, g)
+        + np.einsum("xz,y,w->xyzw", g, eta, eta)
+        - np.einsum("yz,x,w->xyzw", g, eta, eta)
+    )
+    pp = (
+        np.einsum("yz,xw->xyzw", gphi, gphi)
+        - np.einsum("xz,yw->xyzw", gphi, gphi)
+        - 2 * np.einsum("xy,zw->xyzw", gphi, gphi)
+    )
+    return coeff_round * gg + coeff_phi * (ee + pp)
+
+
+def identity_residuals_einsum(model):
+    """Reference identity suite: the exchange and the traces as multi-operand
+    einsums over the frame vectors, one trace per identity."""
+    n, g, phi, riemann, ricci = model.n, model.metric, model.phi, model.riemann, model.ricci
+
+    def exchange(curvature):
+        return np.einsum("xyaw,az->xyzw", curvature, phi) - np.einsum(
+            "axyw,az->xyzw", curvature, phi
+        )
+
+    c = (2.0 * classify_eta_einstein(model).g_coeff - 3.0 * n + 1.0) / (n + 1.0)
+    space_form = space_form_curvature_einsum(g, phi, model.eta, c)
+    frame = orthonormal_frame(g)
+    phi_frame = phi @ frame
+    pair_target = 2.0 * ricci @ phi + 2.0 * (2 * n - 1) * model.gphi
+    tr1 = np.einsum("xyab,ai,bi->xy", riemann, phi_frame, frame) - np.einsum(
+        "axyb,ai,bi->xy", riemann, phi_frame, frame
+    )
+    tr2 = np.einsum("xyab,ai,bi->xy", riemann, frame, phi_frame)
+    tr3 = np.einsum("xmab,my,ai,bi->xy", riemann, phi, frame, phi_frame, optimize=True)
+    target = -2.0 * ricci + 2.0 * (2 * n - 1) * g + 2.0 * model.eta_eta
+    return (
+        float(np.abs(exchange(riemann) - exchange(space_form)).max()),
+        float(np.abs(tr1 + 1.5 * pair_target).max()),
+        float(np.abs(tr2 - pair_target).max()),
+        float(np.abs(tr3 - target).max()),
+    )
+
+
+def off_space_form_model(q):
+    """A Sasakian point model that is not a space form.
+
+    A generic Sasakian curvature at a point is the unit sphere's plus a
+    Kaehler-type tensor on the contact distribution; sums of
+    omega (x) omega with omega = v ^ phi v (v orthogonal to xi) span those
+    tensors, and satisfy the first Bianchi identity because each omega is
+    decomposable.
+    """
+    sphere = make_round_sphere_model(q)
+    rng = np.random.default_rng(q)
+    riemann = sphere.riemann.copy()
+    for _ in range(4):
+        v = rng.normal(size=sphere.dim)
+        v[-1] = 0.0
+        omega = np.outer(v, sphere.phi @ v) - np.outer(sphere.phi @ v, v)
+        riemann += rng.normal() * np.einsum("xy,zw->xyzw", omega, omega)
+    return type(sphere)(
+        n=q, metric=sphere.metric, phi=sphere.phi, xi=sphere.xi, eta=sphere.eta,
+        riemann=riemann, ricci=contract_trace(riemann, sphere.metric),
+    )
+
+
+def identity_values(residuals):
+    return (
+        residuals.phi_exchange,
+        residuals.traced_phi_exchange,
+        residuals.phi_pair_trace,
+        residuals.shifted_phi_pair_trace,
+    )
 
 
 def phi_sectional_curvature(model):
@@ -115,6 +198,43 @@ class TestSpaceForm:
         npt.assert_allclose(lhs, rhs, atol=1e-12)
 
 
+class TestSpaceFormCurvatureFormula:
+    """The paired outer-product form of the space-form curvature against
+    the reference with one einsum per term."""
+
+    C_VALUES = [-7.0, -3.0, -1.0, 0.3, 1.0, 5.0, 1e300, -1e300]
+
+    @pytest.mark.parametrize("c", C_VALUES)
+    @pytest.mark.parametrize("dim", [3, 5, 7])
+    def test_matches_einsum_form_on_non_adapted_data(self, dim, c):
+        rng = np.random.default_rng(dim)
+        g, phi, eta = random_spd(rng, dim), rng.normal(size=(dim, dim)), rng.normal(size=dim)
+        reference = space_form_curvature_einsum(g, phi, eta, c)
+        found = _space_form_curvature(g, phi, eta, c)
+        assert np.abs(found - reference).max() <= 1e-15 * np.abs(reference).max()
+
+    # values whose (c + 3)/4 and (c - 1)/4 are exact, so both forms round alike
+    @pytest.mark.parametrize("c", [c for c in C_VALUES if c != 0.3])
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_package_space_forms_equal_einsum_form(self, q, c):
+        model = make_space_form_model(q, c)
+        reference = space_form_curvature_einsum(model.metric, model.phi, model.eta, c)
+        npt.assert_array_equal(model.riemann, reference)
+
+    @pytest.mark.parametrize("c", [Fraction(-7), Fraction(1, 3), Fraction(5)])
+    def test_exact_on_fraction_arrays(self, c):
+        rng = np.random.default_rng(7)
+        dim = 5
+        to_fractions = np.vectorize(Fraction, otypes=[object])
+        g = to_fractions(rng.integers(-3, 4, size=(dim, dim)))
+        phi = to_fractions(rng.integers(-3, 4, size=(dim, dim)))
+        eta = to_fractions(rng.integers(-3, 4, size=dim))
+        found = _space_form_curvature(g, phi, eta, c)
+        assert found.dtype == object
+        assert all(isinstance(entry, Fraction) for entry in found.flat)
+        assert (found == space_form_curvature_einsum(g, phi, eta, c)).all()
+
+
 class TestEtaEinsteinClassification:
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_round_sphere(self, p):
@@ -197,23 +317,7 @@ class TestCurvatureIdentitySuite:
 
     @pytest.mark.parametrize("q", [2, 3])
     def test_traced_identities_hold_off_space_forms(self, q):
-        # a generic Sasakian curvature at a point is the unit sphere's plus
-        # a Kaehler-type tensor on the contact distribution; sums of
-        # omega (x) omega with omega = v ^ phi v (v orthogonal to xi) span
-        # those tensors, and satisfy the first Bianchi identity because
-        # each omega is decomposable
-        sphere = make_round_sphere_model(q)
-        rng = np.random.default_rng(q)
-        riemann = sphere.riemann.copy()
-        for _ in range(4):
-            v = rng.normal(size=sphere.dim)
-            v[-1] = 0.0
-            omega = np.outer(v, sphere.phi @ v) - np.outer(sphere.phi @ v, v)
-            riemann += rng.normal() * np.einsum("xy,zw->xyzw", omega, omega)
-        model = type(sphere)(
-            n=q, metric=sphere.metric, phi=sphere.phi, xi=sphere.xi, eta=sphere.eta,
-            riemann=riemann, ricci=contract_trace(riemann, sphere.metric),
-        )
+        model = off_space_form_model(q)
         assert max(sasakian_structure_residuals(model).values()) <= 1e-12
         residuals = verify_sasakian_curvature_identities(model)
         assert residuals.traced_phi_exchange <= 1e-12
@@ -221,6 +325,31 @@ class TestCurvatureIdentitySuite:
         assert residuals.shifted_phi_pair_trace <= 1e-12
         # not a space form, so the space-form-only identity must fail
         assert residuals.phi_exchange >= 1.0
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_matches_einsum_traces_off_space_forms(self, q):
+        # the traced residuals are roundoff here, so they agree to an absolute
+        # roundoff and the space-form-only one (of order one) relatively
+        model = off_space_form_model(q)
+        found = identity_values(verify_sasakian_curvature_identities(model))
+        reference = identity_residuals_einsum(model)
+        assert found[0] == pytest.approx(reference[0], rel=1e-14)
+        npt.assert_allclose(found[1:], reference[1:], rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_matches_einsum_traces_on_generic_tensors(self, q):
+        # a random SPD metric, endomorphism, covector and curvature-like tensor
+        # make every residual of order one, so the two forms agree relatively
+        rng = np.random.default_rng(100 + q)
+        dim = 2 * q + 1
+        riemann = random_curvature_like(rng, dim)
+        metric = random_spd(rng, dim)
+        model = type(make_round_sphere_model(q))(
+            n=q, metric=metric, phi=rng.normal(size=(dim, dim)), xi=rng.normal(size=dim),
+            eta=rng.normal(size=dim), riemann=riemann, ricci=contract_trace(riemann, metric),
+        )
+        found = identity_values(verify_sasakian_curvature_identities(model))
+        npt.assert_allclose(found, identity_residuals_einsum(model), rtol=1e-13)
 
 
 class TestDHomotheticDeformation:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sasakiherm.errors import MetricError, SingularMetricError
+from sasakiherm.errors import IndefiniteMetricError, MetricError, SingularMetricError
 from sasakiherm.tensors import (
     adapted_frame,
     change_frame,
@@ -108,6 +108,29 @@ class TestRequireSpd:
     def test_non_finite_spectrum_rejected(self, metric):
         with pytest.raises(SingularMetricError):
             require_spd(np.array(metric))
+
+    def test_asymmetry_bound_is_inclusive(self):
+        # max |m| = 1 sets the bound to 1e-10 exactly
+        require_spd(np.array([[1.0, 0.0], [1e-10, 1.0]]))
+        with pytest.raises(SingularMetricError, match="metric is not symmetric"):
+            require_spd(np.array([[1.0, 0.0], [2e-10, 1.0]]))
+
+    @pytest.mark.parametrize(
+        "metric,error,message",
+        [
+            ([[4e15, 0.0], [0.0, 2.5]], SingularMetricError,
+             "metric is singular (eigenvalues 2.5 to 4e+15; "
+             "min over max(1, max |eigenvalue|) = 6.25e-16, at most 1e-13)"),
+            ([[2.0, 0.0], [0.0, -1.0]], IndefiniteMetricError,
+             "metric is indefinite (eigenvalues -1 to 2; "
+             "min over max(1, max |eigenvalue|) = -0.5, below -1e-10)"),
+        ],
+        ids=["singular", "indefinite"],
+    )
+    def test_rejection_states_the_eigenvalue_ratio(self, metric, error, message):
+        with pytest.raises(error) as excinfo:
+            require_spd(np.array(metric))
+        assert str(excinfo.value) == message
 
     def test_symmetrize_stays_finite_near_overflow(self):
         form = np.array([[1.0, 1e308], [1.7e308, 1e308]])
