@@ -22,6 +22,7 @@ import csv
 import decimal
 import functools
 import io
+import itertools
 import json
 import math
 import sys
@@ -31,13 +32,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chart import (
-    FactorChart,
-    SphereChart,
-    StencilConfig,
-    compare_with_algebraic,
-    sample_chart_points,
-)
 from .einstein import (
     calabi_eckmann_einstein_example,
     einstein_verdict,
@@ -365,16 +359,17 @@ def _run_example(args) -> tuple[list[CheckRecord], dict]:
     return checks, info
 
 
-_SCAN_CELLS = {  # --check value -> (anchor, residual of one (a, b) cell)
+_SCAN_CHECKS = {  # --check value -> (anchor, residuals of a grid of (a, b) cells)
     "einstein": (
         "ricci = lambda g",
-        lambda factor, factor_prime, params:
-            einstein_verdict(factor, factor_prime, params).residual,
+        lambda factor, factor_prime, cells:
+            [verdict.residual for verdict in einstein_verdict(factor, factor_prime, cells)],
     ),
     "integrability": (
         "vanishing integrability defect",
-        lambda factor, factor_prime, params:
-            check_integrability(build_product_model(factor, factor_prime, params)),
+        lambda factor, factor_prime, cells:
+            [check_integrability(build_product_model(factor, factor_prime, params))
+             for params in cells],
     ),
 }
 
@@ -387,27 +382,50 @@ MAX_PHI_PAIRS = 10
 
 
 def _run_scan(args) -> tuple[list[CheckRecord], dict]:
-    cells = _grid(args.a)[0] * _grid(args.b)[0]
-    if cells > MAX_SCAN_CELLS:
+    count = _grid(args.a)[0] * _grid(args.b)[0]
+    if count > MAX_SCAN_CELLS:
         raise InvalidParameterError(
-            f"scan grid has {decimal.Decimal(cells):.6g} cells, more than {MAX_SCAN_CELLS}"
+            f"scan grid has {decimal.Decimal(count):.6g} cells, more than {MAX_SCAN_CELLS}"
         )
     a_values = parse_grid(args.a)
     b_values = [b for b in parse_grid(args.b) if b != 0.0]
     if not b_values:
         raise InvalidParameterError("b grid contains only the excluded value 0")
     factor, factor_prime = _build_factors(args)
-    anchor, residual = _SCAN_CELLS[args.check]
+    anchor, residuals = _SCAN_CHECKS[args.check]
+    # the cells before the first invalid one are decided first, so that
+    # the error raised is that of the first failing cell in grid order
+    cells, invalid = [], None
+    try:
+        for a, b in itertools.product(a_values, b_values):
+            cells.append(HermitianParams(a=a, b=b))
+    except InvalidParameterError as exc:
+        invalid = exc
     checks = [
-        _check(f"{args.check}[a={a:g},b={b:g}]", anchor,
-               residual(factor, factor_prime, HermitianParams(a=a, b=b)))
-        for a in a_values
-        for b in b_values
+        _check(f"{args.check}[a={_cell_text(params.a)},b={_cell_text(params.b)}]", anchor, value)
+        for params, value in zip(cells, residuals(factor, factor_prime, cells))
     ]
+    if invalid is not None:
+        raise invalid
     return checks, {}
 
 
+def _cell_text(value: float) -> str:
+    """``value`` in ``:g`` format where that reads back as the same float, else its repr."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(value)
+
+
 def _run_oracle_compare(args) -> tuple[list[CheckRecord], dict]:
+    # the chart layer is imported here only, so that no other command loads it
+    from .chart import (
+        FactorChart,
+        SphereChart,
+        StencilConfig,
+        compare_with_algebraic,
+        sample_chart_points,
+    )
+
     if args.points < 1:
         raise InvalidParameterError(f"need at least one sample point, got --points {args.points}")
     if args.points > MAX_ORACLE_POINTS:
@@ -445,7 +463,7 @@ _FLAGS = {  # key -> (option string, add_argument keywords)
     "b": ("--b", dict(type=float, default=1.0)),
     "a-grid": ("--a", dict(default="0", help="value or start:stop:step")),
     "b-grid": ("--b", dict(default="1", help="value or start:stop:step; 0 cells are skipped")),
-    "check": ("--check", dict(choices=tuple(_SCAN_CELLS), default="einstein")),
+    "check": ("--check", dict(choices=tuple(_SCAN_CHECKS), default="einstein")),
     "factor": ("--factor", dict(default="round", help="round | space-form:<c> | deformed:<alpha>")),
     "factor-prime": ("--factor-prime", dict(default="round", dest="factor_prime")),
     "seed": ("--seed", dict(type=int, default=0)),

@@ -17,6 +17,7 @@ its Reeb vector at index ``2p``; the second factor occupies
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,26 @@ class HermitianParams:
 
 
 @dataclass(frozen=True)
+class ParamStack:
+    """Members of the family stacked along a leading cell axis.
+
+    ``a`` and ``b`` have shape ``(cells, 1, 1)``, so they broadcast
+    against the blocks of :func:`product_metric` and
+    :func:`build_product_ricci`, which then return one tensor per cell.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+
+    @classmethod
+    def of(cls, cells: Sequence[HermitianParams]) -> ParamStack:
+        """Stack validated members in order."""
+        a = np.array([cell.a for cell in cells], dtype=float)
+        b = np.array([cell.b for cell in cells], dtype=float)
+        return cls(a[:, None, None], b[:, None, None])
+
+
+@dataclass(frozen=True)
 class ProductHermitianModel:
     """All closed-form tensors of one product Hermitian structure."""
 
@@ -93,7 +114,7 @@ class ProductHermitianModel:
 
 
 def product_metric(
-    s: SasakianStructure, s_prime: SasakianStructure, params: HermitianParams
+    s: SasakianStructure, s_prime: SasakianStructure, params: HermitianParams | ParamStack
 ) -> np.ndarray:
     """Product metric: factor metrics glued along the Reeb directions.
 
@@ -101,12 +122,13 @@ def product_metric(
     eta' (x) eta'`` on the second, and ``a eta (x) eta'`` across.
     Positive definite exactly when ``b != 0``.  The factor records may
     be adapted-frame models or chart fields; leading axes broadcast, so
-    a stack of chart points gives a stack of metrics.
+    a stack of chart points gives a stack of metrics, and so does a
+    :class:`ParamStack` of cells.
     """
     a, b = params.a, params.b
     m = s.metric.shape[-1]
     dim = m + s_prime.metric.shape[-1]
-    g_bar = np.zeros(s.metric.shape[:-2] + (dim, dim))
+    g_bar = np.zeros(np.broadcast_shapes(s.metric.shape[:-2], np.shape(a)[:-2]) + (dim, dim))
     g_bar[..., :m, :m] = s.metric
     g_bar[..., m:, m:] = s_prime.metric + (a * a + b * b - 1.0) * s_prime.eta_eta
     mixed = a * (s.eta[..., :, None] * s_prime.eta[..., None, :])
@@ -253,24 +275,25 @@ def build_product_curvature(
 def build_product_ricci(
     factor: SasakianPointModel,
     factor_prime: SasakianPointModel,
-    params: HermitianParams,
+    params: HermitianParams | ParamStack,
 ) -> np.ndarray:
     """Closed-form Ricci tensor of the product metric.
 
     Matches the metric trace of :func:`build_product_curvature`; the
-    two routes are kept independent so tests can compare them.
+    two routes are kept independent so tests can compare them.  A
+    :class:`ParamStack` gives one tensor per cell.
     """
     a, b = params.a, params.b
     s = a * a + b * b
     p, q = factor.n, factor_prime.n
     m = factor.dim
     dim = m + factor_prime.dim
-    ricci = np.zeros((dim, dim))
-    ricci[:m, :m] = factor.ricci + 2.0 * a * a * q * factor.eta_eta
+    ricci = np.zeros(np.shape(s)[:-2] + (dim, dim))
+    ricci[..., :m, :m] = factor.ricci + 2.0 * a * a * q * factor.eta_eta
     mixed = 2.0 * a * (p + q * s) * np.outer(factor.eta, factor_prime.eta)
-    ricci[:m, m:] = mixed
-    ricci[m:, :m] = mixed.T
-    ricci[m:, m:] = (
+    ricci[..., :m, m:] = mixed
+    ricci[..., m:, :m] = mixed.swapaxes(-1, -2)
+    ricci[..., m:, m:] = (
         factor_prime.ricci
         - 2.0 * (s - 1.0) * factor_prime.metric
         + 2.0 * (p * a * a + s - 1.0 + q * (s - 1.0) * (s + 1.0)) * factor_prime.eta_eta

@@ -3,10 +3,13 @@
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -28,11 +31,14 @@ from sasakiherm.cli import (
     parse_grid,
     run,
 )
-from sasakiherm.errors import InvalidParameterError
+from sasakiherm.einstein import einstein_verdict
+from sasakiherm.errors import GeometryError, InvalidParameterError
+from sasakiherm.product import HermitianParams
 from sasakiherm.tensors import TOLERANCES
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def readme_cli_commands():
@@ -279,6 +285,17 @@ class TestCommands:
         assert len(list(csv.DictReader(io.StringIO(out)))) == 11
         assert code == 0
 
+    def test_scan_names_tell_close_cells_apart(self, capsys):
+        # :g prints all four b values as 1, so names fall back to repr there
+        code, out, _ = run_cli(
+            ["scan", "--p", "1", "--q", "1", "--a=0", "--b", "1.0000001:1.0000004:1e-7",
+             "--format", "csv"],
+            capsys,
+        )
+        assert code == 1
+        names = [row["name"] for row in csv.DictReader(io.StringIO(out))]
+        assert names == [f"einstein[a=0,b=1.000000{k}]" for k in range(1, 5)]
+
     def test_oracle_compare_smoke(self, capsys):
         code, out, _ = run_cli(
             [
@@ -290,6 +307,86 @@ class TestCommands:
         assert code == 0
         payload = json.loads(out)
         assert payload["summary"]["fail"] == 0
+
+
+def first_point_error(a_grid, b_grid, factor_prime):
+    """The error of the first failing cell when each is built and decided alone."""
+    factor, factor_prime = parse_factor_spec("round")(2), parse_factor_spec(factor_prime)(1)
+    for a, b in itertools.product(parse_grid(a_grid), parse_grid(b_grid)):
+        try:
+            einstein_verdict(factor, factor_prime, HermitianParams(a, b))
+        except GeometryError as exc:
+            return str(exc)
+    return None
+
+
+class TestScanErrors:
+    LOCUS = "1.4142135623730:1.4142135623732:5e-14"
+
+    @pytest.mark.parametrize(
+        "a_grid,b_grid,prefix",
+        [
+            ("0:2e154:2e154", LOCUS, "structural and residual Einstein verdicts disagree"),
+            ("-2e154:0:2e154", LOCUS, "a^2 + b^2 overflows at a = -2e+154"),
+            ("-1e154:0:1e154", LOCUS, "product metric is singular"),
+            ("0:2e154:2e154", "1e-7", "product metric is singular"),
+            ("-2e154:0:2e154", "1e-7", "a^2 + b^2 overflows"),
+        ],
+        ids=["disagreement-then-overflow", "overflow-then-disagreement",
+             "large-a-then-disagreement", "tiny-b-then-overflow", "overflow-then-tiny-b"],
+    )
+    def test_first_failing_cell_in_grid_order(self, capsys, a_grid, b_grid, prefix):
+        code, out, err = run_cli(
+            ["scan", "--p", "2", "--q", "1", f"--a={a_grid}", "--b", b_grid,
+             "--factor-prime", "deformed:0.5"],
+            capsys,
+        )
+        expected = first_point_error(a_grid, b_grid, "deformed:0.5")
+        assert expected.startswith(prefix)
+        assert (code, out, err) == (2, "", f"error: {expected}\n")
+
+    def test_integrability_scan_decides_the_cells_before_an_overflow(self, capsys):
+        code, out, err = run_cli(
+            ["scan", "--p", "1", "--q", "1", "--a=0:2e154:2e154", "--check", "integrability"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: a^2 + b^2 overflows at a = 2e+154, b = 1.0\n"
+
+    def test_locus_scan_names_the_cell_and_its_distances(self, capsys):
+        code, _, err = run_cli(
+            ["scan", "--p", "2", "--q", "1", "--a=0", "--b", self.LOCUS,
+             "--factor-prime", "deformed:0.5"],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith(
+            "error: structural and residual Einstein verdicts disagree: structural=True "
+            "residual=False (residual 1.209e-12, failing ()) at a = 0.0, b = 1.414213562373; "
+            "distances against tol 1e-12: |a| = 0, |p - b^2 q| = 2.68e-13, factor max"
+        )
+
+
+@pytest.mark.parametrize(
+    "argv,loaded",
+    [(["verify-product", "--p", "1", "--q", "1"], False),
+     (["oracle-compare", "--p", "1", "--q", "1", "--points", "1"], True)],
+    ids=["verify-product", "oracle-compare"],
+)
+def test_only_oracle_compare_loads_the_chart_layer(argv, loaded):
+    code = (
+        "import contextlib, io, sys\n"
+        "from sasakiherm.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(sys.argv[1:]) == 0\n"
+        "print('sasakiherm.chart' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{loaded}\n"
 
 
 class TestExitCodes:

@@ -6,12 +6,15 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import sasakiherm.einstein
+from sasakiherm.cli import parse_grid
 from sasakiherm.einstein import (
     calabi_eckmann_einstein_example,
     einstein_verdict,
     required_eta_einstein_coefficients,
     star_scalar_prediction,
 )
+from sasakiherm.errors import ConsistencyError, GeometryError, SingularMetricError
 from sasakiherm.product import (
     HermitianParams,
     build_product_metric,
@@ -20,12 +23,15 @@ from sasakiherm.product import (
     scalar_curvatures,
 )
 from sasakiherm.sasakian import (
+    SasakianPointModel,
     classify_eta_einstein,
     d_homothetic_deform,
     make_round_sphere_model,
     make_space_form_model,
     space_form_ricci_coefficients,
 )
+
+from conftest import off_space_form_model
 
 
 class TestRequiredCoefficients:
@@ -161,8 +167,6 @@ def test_disagreement_between_routes_raises():
     # rig non-Sasakian Ricci data so the residual fit reports Einstein while
     # the structural conditions cannot hold (a != 0): the verdict must refuse
     # rather than return either answer
-    from sasakiherm.errors import ConsistencyError
-
     p = q = 1
     a, b = 0.5, 1.0
     s = a * a + b * b
@@ -206,3 +210,109 @@ def test_structural_and_residual_routes_agree_on_sample_grid():
                         assert verdict.agreement
                         einstein_hits += verdict.is_einstein
     assert einstein_hits > 0
+
+
+# cells across the Einstein locus where the two routes cannot be told apart:
+# at the first, the residual 1.2e-12 fails 1e-12 while the structure holds
+LOCUS_B = parse_grid("1.4142135623730:1.4142135623732:5e-14")
+GRID_FACTORS = {
+    "space-form": lambda: (make_round_sphere_model(2), make_space_form_model(1, 5.0)),
+    "deformed": lambda: (make_round_sphere_model(2),
+                         d_homothetic_deform(make_round_sphere_model(1), 0.5)),
+    "off-space-form": lambda: (off_space_form_model(2), off_space_form_model(3)),
+}
+
+
+def outcome(decide):
+    """What ``decide()`` returns, or the type and text of the error it raises."""
+    try:
+        return decide()
+    except GeometryError as exc:
+        return type(exc), str(exc)
+
+
+def point_loop(factor, factor_prime, cells):
+    return [einstein_verdict(factor, factor_prime, params) for params in cells]
+
+
+class TestGridVerdict:
+    """A grid of cells is decided as a loop of one-cell verdicts would decide it."""
+
+    @pytest.mark.parametrize("block", [256, 5])
+    @pytest.mark.parametrize("kind", sorted(GRID_FACTORS))
+    def test_grid_equals_point_loop(self, monkeypatch, kind, block):
+        monkeypatch.setattr(sasakiherm.einstein, "GRID_BLOCK", block)
+        factor, factor_prime = GRID_FACTORS[kind]()
+        cells = [HermitianParams(a, b)
+                 for a in (-0.5, 0.0, 0.3) for b in (0.7, 1.0, math.sqrt(2.0), -2.0)]
+        grid = einstein_verdict(factor, factor_prime, cells)
+        loop = point_loop(factor, factor_prime, cells)
+        # dataclass equality compares every field but ricci_bar, floats exactly
+        assert grid == loop
+        assert all(verdict.ricci_bar is None for verdict in grid)
+        assert any(verdict.is_einstein for verdict in grid) == (kind != "off-space-form")
+
+    def test_point_verdict_keeps_its_ricci_tensor(self):
+        factor, factor_prime = GRID_FACTORS["deformed"]()
+        params = HermitianParams(0.3, 1.2)
+        verdict = einstein_verdict(factor, factor_prime, params)
+        npt.assert_array_equal(verdict.ricci_bar,
+                               build_product_ricci(factor, factor_prime, params))
+
+    def test_empty_grid(self):
+        assert einstein_verdict(*GRID_FACTORS["deformed"](), []) == []
+
+    @pytest.mark.parametrize("block", [256, 2])
+    @pytest.mark.parametrize(
+        "cells,error",
+        [
+            ([(0.0, 1.0), (0.0, LOCUS_B[0]), (0.0, 1e-7)], ConsistencyError),
+            ([(0.0, 1.0), (0.0, 1e-7), (0.0, LOCUS_B[0])], SingularMetricError),
+            ([(0.5, 1.0), (1e154, 1.0), (0.0, LOCUS_B[0])], SingularMetricError),
+        ],
+        ids=["disagreement-first", "tiny-b-first", "large-a-first"],
+    )
+    def test_first_failing_cell_raises(self, monkeypatch, cells, error, block):
+        monkeypatch.setattr(sasakiherm.einstein, "GRID_BLOCK", block)
+        factor, factor_prime = GRID_FACTORS["deformed"]()
+        cells = [HermitianParams(a, b) for a, b in cells]
+        found = outcome(lambda: einstein_verdict(factor, factor_prime, cells))
+        assert found == outcome(lambda: point_loop(factor, factor_prime, cells))
+        assert found[0] is error
+
+    def test_errors_name_their_cell_and_distances(self):
+        factor, factor_prime = GRID_FACTORS["deformed"]()
+        with pytest.raises(ConsistencyError) as excinfo:
+            einstein_verdict(factor, factor_prime, [HermitianParams(0.0, b) for b in LOCUS_B])
+        message = str(excinfo.value)
+        assert message.startswith(
+            "structural and residual Einstein verdicts disagree: structural=True residual=False "
+            "(residual 1.209e-12, failing ()) at a = 0.0, b = 1.414213562373; "
+            "distances against tol 1e-12: |a| = 0, |p - b^2 q| = 2.68e-13, "
+        )
+        assert "factor max |Ric - 2p g| = " in message
+        assert "factor_prime max |Ric' - A g' - B eta' (x) eta'| = " in message
+        with pytest.raises(SingularMetricError) as excinfo:
+            einstein_verdict(factor, factor_prime, [HermitianParams(0.5, 1.0),
+                                                    HermitianParams(0.0, 1e-7)])
+        assert str(excinfo.value).startswith("product metric is singular (")
+        assert str(excinfo.value).endswith(") at a = 0.0, b = 1e-07")
+
+    def test_factor_conditions_and_certification_run_once_per_grid(self, monkeypatch):
+        deviations, certified = [], []
+        deviation = SasakianPointModel.ricci_deviation
+        monkeypatch.setattr(
+            SasakianPointModel, "ricci_deviation",
+            lambda self, *args: deviations.append(self) or deviation(self, *args),
+        )
+        require_spd = sasakiherm.einstein.require_spd
+        monkeypatch.setattr(
+            sasakiherm.einstein, "require_spd",
+            lambda metric, **kwargs: certified.append(metric.shape) or require_spd(metric, **kwargs),
+        )
+        factor, factor_prime = GRID_FACTORS["space-form"]()
+        cells = [HermitianParams(a, b) for a in (-1.0, 0.0, 1.0) for b in (0.5, 1.0, 1.5, 2.0)]
+        einstein_verdict(factor, factor_prime, cells)
+        assert len(deviations) == 2
+        assert deviations[0] is factor and deviations[1] is factor_prime
+        assert certified == [(12, 8, 8)]

@@ -9,6 +9,7 @@ import pytest
 from sasakiherm.errors import InvalidParameterError
 from sasakiherm.product import (
     HermitianParams,
+    ParamStack,
     build_nabla_j,
     build_product_curvature,
     build_product_metric,
@@ -20,6 +21,7 @@ from sasakiherm.product import (
     check_weakly_star_einstein,
     integrability_residual,
     product_complex_structure,
+    product_metric,
     scalar_curvatures,
 )
 from sasakiherm.sasakian import d_homothetic_deform, make_round_sphere_model, make_space_form_model
@@ -80,6 +82,16 @@ class TestProductMetric:
         factor, factor_prime = spheres(2, 1)
         g_bar = build_product_metric(factor, factor_prime, HermitianParams(a, b))
         assert np.linalg.eigvalsh(g_bar).min() > 0.0
+
+
+@pytest.mark.parametrize("build", [product_metric, build_product_ricci])
+def test_cell_stack_gives_each_cell_exactly(build):
+    factor, factor_prime = make_round_sphere_model(2), make_space_form_model(1, 5.0)
+    cells = [HermitianParams(a, b) for a, b in PARAM_GRID]
+    stacked = build(factor, factor_prime, ParamStack.of(cells))
+    assert stacked.shape == (len(cells), 8, 8)
+    for cell, tensor in zip(cells, stacked):
+        assert np.array_equal(tensor, build(factor, factor_prime, cell))
 
 
 class TestComplexStructure:

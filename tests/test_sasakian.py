@@ -7,7 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import random_curvature_like, random_spd
+from conftest import off_space_form_model, random_curvature_like, random_spd
 from sasakiherm.errors import InvalidParameterError
 from sasakiherm.sasakian import (
     MAX_SPACE_FORM_C,
@@ -70,29 +70,6 @@ def identity_residuals_einsum(model):
         float(np.abs(tr1 + 1.5 * pair_target).max()),
         float(np.abs(tr2 - pair_target).max()),
         float(np.abs(tr3 - target).max()),
-    )
-
-
-def off_space_form_model(q):
-    """A Sasakian point model that is not a space form.
-
-    A generic Sasakian curvature at a point is the unit sphere's plus a
-    Kaehler-type tensor on the contact distribution; sums of
-    omega (x) omega with omega = v ^ phi v (v orthogonal to xi) span those
-    tensors, and satisfy the first Bianchi identity because each omega is
-    decomposable.
-    """
-    sphere = make_round_sphere_model(q)
-    rng = np.random.default_rng(q)
-    riemann = sphere.riemann.copy()
-    for _ in range(4):
-        v = rng.normal(size=sphere.dim)
-        v[-1] = 0.0
-        omega = np.outer(v, sphere.phi @ v) - np.outer(sphere.phi @ v, v)
-        riemann += rng.normal() * np.einsum("xy,zw->xyzw", omega, omega)
-    return type(sphere)(
-        n=q, metric=sphere.metric, phi=sphere.phi, xi=sphere.xi, eta=sphere.eta,
-        riemann=riemann, ricci=contract_trace(riemann, sphere.metric),
     )
 
 
