@@ -37,13 +37,14 @@ from .einstein import (
     einstein_verdict,
     star_scalar_prediction,
 )
-from .errors import GeometryError, InvalidParameterError
+from .errors import GeometryError, InvalidParameterError, MetricError
 from .product import (
     HermitianParams,
     build_product_model,
     check_integrability,
     check_not_kahler,
     check_weakly_star_einstein,
+    metric_error_at,
 )
 from .sasakian import (
     SasakianPointModel,
@@ -359,18 +360,25 @@ def _run_example(args) -> tuple[list[CheckRecord], dict]:
     return checks, info
 
 
+def _integrability_residuals(factor, factor_prime, cells) -> list[float]:
+    """Integrability residual of each cell, each from its own product model."""
+    residuals = []
+    for params in cells:
+        try:
+            model = build_product_model(factor, factor_prime, params)
+        except MetricError as exc:
+            raise metric_error_at(exc, params) from None
+        residuals.append(check_integrability(model))
+    return residuals
+
+
 _SCAN_CHECKS = {  # --check value -> (anchor, residuals of a grid of (a, b) cells)
     "einstein": (
         "ricci = lambda g",
         lambda factor, factor_prime, cells:
             [verdict.residual for verdict in einstein_verdict(factor, factor_prime, cells)],
     ),
-    "integrability": (
-        "vanishing integrability defect",
-        lambda factor, factor_prime, cells:
-            [check_integrability(build_product_model(factor, factor_prime, params))
-             for params in cells],
-    ),
+    "integrability": ("vanishing integrability defect", _integrability_residuals),
 }
 
 

@@ -23,6 +23,7 @@ from .product import (
     ProductHermitianModel,
     build_product_model,
     build_product_ricci,
+    metric_error_at,
     product_metric,
 )
 from .sasakian import (
@@ -194,10 +195,7 @@ def _block_verdicts(
             ricci_bar=ricci if keep_ricci else None,
         ))
     if metric_error is not None:
-        cell = cells[certified]
-        raise type(metric_error)(
-            f"{metric_error} at a = {float(cell.a)!r}, b = {float(cell.b)!r}"
-        ) from None
+        raise metric_error_at(metric_error, cells[certified]) from None
     return verdicts
 
 

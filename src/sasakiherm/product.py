@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, MetricError
 from .sasakian import SasakianPointModel, SasakianStructure
 from .tensors import (
     TOLERANCES,
@@ -56,6 +56,11 @@ class HermitianParams:
         a, b = float(self.a), float(self.b)
         if not math.isfinite(a * a + b * b):
             raise InvalidParameterError(f"a^2 + b^2 overflows at a = {a!r}, b = {b!r}")
+
+
+def metric_error_at(error: MetricError, params: HermitianParams) -> MetricError:
+    """``error``, met on the product metric of ``params``, naming that member."""
+    return type(error)(f"{error} at a = {float(params.a)!r}, b = {float(params.b)!r}")
 
 
 @dataclass(frozen=True)

@@ -353,6 +353,15 @@ class TestScanErrors:
         assert (code, out) == (2, "")
         assert err == "error: a^2 + b^2 overflows at a = 2e+154, b = 1.0\n"
 
+    @pytest.mark.parametrize("check", ["einstein", "integrability"])
+    def test_singular_metric_names_its_cell(self, capsys, check):
+        code, out, err = run_cli(
+            ["scan", "--p", "1", "--q", "1", "--a=0:1e154:5e153", "--check", check], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: product metric is singular (eigenvalues ")
+        assert err.endswith(") at a = 5e+153, b = 1.0\n")
+
     def test_locus_scan_names_the_cell_and_its_distances(self, capsys):
         code, _, err = run_cli(
             ["scan", "--p", "2", "--q", "1", "--a=0", "--b", self.LOCUS,
