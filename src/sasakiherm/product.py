@@ -133,10 +133,11 @@ def product_metric(
     a, b = params.a, params.b
     m = s.metric.shape[-1]
     dim = m + s_prime.metric.shape[-1]
-    g_bar = np.zeros(np.broadcast_shapes(s.metric.shape[:-2], np.shape(a)[:-2]) + (dim, dim))
+    # the mixed block carries every leading axis, of the records and of a stack
+    mixed = a * (s.eta[..., :, None] * s_prime.eta[..., None, :])
+    g_bar = np.zeros(mixed.shape[:-2] + (dim, dim))
     g_bar[..., :m, :m] = s.metric
     g_bar[..., m:, m:] = s_prime.metric + (a * a + b * b - 1.0) * s_prime.eta_eta
-    mixed = a * (s.eta[..., :, None] * s_prime.eta[..., None, :])
     g_bar[..., :m, m:] = mixed
     g_bar[..., m:, :m] = np.swapaxes(mixed, -1, -2)
     return g_bar
@@ -293,9 +294,9 @@ def build_product_ricci(
     p, q = factor.n, factor_prime.n
     m = factor.dim
     dim = m + factor_prime.dim
-    ricci = np.zeros(np.shape(s)[:-2] + (dim, dim))
-    ricci[..., :m, :m] = factor.ricci + 2.0 * a * a * q * factor.eta_eta
     mixed = 2.0 * a * (p + q * s) * np.outer(factor.eta, factor_prime.eta)
+    ricci = np.zeros(mixed.shape[:-2] + (dim, dim))
+    ricci[..., :m, :m] = factor.ricci + 2.0 * a * a * q * factor.eta_eta
     ricci[..., :m, m:] = mixed
     ricci[..., m:, :m] = mixed.swapaxes(-1, -2)
     ricci[..., m:, m:] = (
