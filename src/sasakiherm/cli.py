@@ -37,14 +37,14 @@ from .einstein import (
     einstein_verdict,
     star_scalar_prediction,
 )
-from .errors import GeometryError, InvalidParameterError, MetricError
+from .errors import GeometryError, InvalidParameterError
 from .product import (
     HermitianParams,
     build_product_model,
     check_integrability,
     check_not_kahler,
     check_weakly_star_einstein,
-    metric_error_at,
+    integrability_residuals,
 )
 from .sasakian import (
     SasakianPointModel,
@@ -360,25 +360,13 @@ def _run_example(args) -> tuple[list[CheckRecord], dict]:
     return checks, info
 
 
-def _integrability_residuals(factor, factor_prime, cells) -> list[float]:
-    """Integrability residual of each cell, each from its own product model."""
-    residuals = []
-    for params in cells:
-        try:
-            model = build_product_model(factor, factor_prime, params)
-        except MetricError as exc:
-            raise metric_error_at(exc, params) from None
-        residuals.append(check_integrability(model))
-    return residuals
-
-
 _SCAN_CHECKS = {  # --check value -> (anchor, residuals of a grid of (a, b) cells)
     "einstein": (
         "ricci = lambda g",
         lambda factor, factor_prime, cells:
             [verdict.residual for verdict in einstein_verdict(factor, factor_prime, cells)],
     ),
-    "integrability": ("vanishing integrability defect", _integrability_residuals),
+    "integrability": ("vanishing integrability defect", integrability_residuals),
 }
 
 
@@ -390,13 +378,14 @@ MAX_PHI_PAIRS = 10
 
 
 def _run_scan(args) -> tuple[list[CheckRecord], dict]:
-    count = _grid(args.a)[0] * _grid(args.b)[0]
+    (a_count, a_value), (b_count, b_value) = _grid(args.a), _grid(args.b)
+    count = a_count * b_count
     if count > MAX_SCAN_CELLS:
         raise InvalidParameterError(
             f"scan grid has {decimal.Decimal(count):.6g} cells, more than {MAX_SCAN_CELLS}"
         )
-    a_values = parse_grid(args.a)
-    b_values = [b for b in parse_grid(args.b) if b != 0.0]
+    a_values = [a_value(k) for k in range(a_count)]
+    b_values = [b for b in map(b_value, range(b_count)) if b != 0.0]
     if not b_values:
         raise InvalidParameterError("b grid contains only the excluded value 0")
     factor, factor_prime = _build_factors(args)

@@ -16,15 +16,13 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConsistencyError, InvalidParameterError, MetricError
+from .errors import ConsistencyError, InvalidParameterError
 from .product import (
     HermitianParams,
-    ParamStack,
     ProductHermitianModel,
     build_product_model,
     build_product_ricci,
-    metric_error_at,
-    product_metric,
+    certified_passes,
 )
 from .sasakian import (
     SasakianPointModel,
@@ -32,11 +30,7 @@ from .sasakian import (
     make_round_sphere_model,
     space_form_ricci_coefficients,
 )
-from .tensors import ALGEBRAIC_TOL, require_spd
-
-# Cells decided per stacked pass of a grid; at N = 42 each stacked tensor
-# of a pass then takes 3.6 MB, however many cells the grid has.
-GRID_BLOCK = 256
+from .tensors import ALGEBRAIC_TOL
 
 
 @dataclass(frozen=True)
@@ -127,11 +121,10 @@ def einstein_verdict(
     ``params`` is one member of the family, or a grid: a sequence of
     members, which returns one verdict per member, in order.  One member
     is the grid of one cell.  The factor conditions are decided once per
-    grid; the cells go through in stacked passes of up to
-    :data:`GRID_BLOCK`, each certifying its metrics with one
-    :func:`require_spd` and tracing them in one einsum.  The error raised
-    is that of the first failing cell in order; a singular or indefinite
-    metric and a disagreement name the cell's ``(a, b)``.
+    grid; each pass of :func:`~sasakiherm.product.certified_passes` is
+    traced in one einsum.  The error raised is that of the first failing
+    cell in order; a singular or indefinite metric and a disagreement name
+    the cell's ``(a, b)``.
     """
     single = isinstance(params, HermitianParams)
     cells = (params,) if single else tuple(params)
@@ -140,72 +133,33 @@ def einstein_verdict(
     fits = (factor.ricci_deviation(2.0 * p, 0.0),
             factor_prime.ricci_deviation(g_coeff, eta_coeff))
     verdicts = []
-    for start in range(0, len(cells), GRID_BLOCK):
-        block = cells[start:start + GRID_BLOCK]
-        verdicts += _block_verdicts(factor, factor_prime, block, fits, tol, keep_ricci=single)
+    for block, stack, g_bar in certified_passes(factor, factor_prime, cells):
+        ricci_bar = build_product_ricci(factor, factor_prime, stack).reshape(g_bar.shape)
+        fitted = np.einsum("cij,cij->c", np.linalg.inv(g_bar), ricci_bar) / g_bar.shape[-1]
+        residuals = np.abs(ricci_bar - fitted[:, None, None] * g_bar).max(axis=(-2, -1)).tolist()
+        for cell, ricci, lam, residual in zip(block, ricci_bar, fitted.tolist(), residuals):
+            a, b = cell.a, cell.b
+            distances = (abs(a), abs(p - b * b * q), *fits)
+            conditions = StructuralConditions(*(distance <= tol for distance in distances))
+            residual_says = residual <= tol
+            structure_says = conditions.all_hold()
+            if structure_says != residual_says:
+                raise ConsistencyError(
+                    "structural and residual Einstein verdicts disagree: "
+                    f"structural={structure_says} residual={residual_says} "
+                    f"(residual {residual:.3e}, failing {conditions.failing()}) "
+                    f"at a = {float(a)!r}, b = {float(b)!r}; distances against tol {tol:g}: "
+                    + ", ".join(f"{name} = {d:.3g}" for name, d in zip(DISTANCES, distances))
+                )
+            verdicts.append(EinsteinVerdict(
+                is_einstein=residual_says,
+                einstein_constant=lam,
+                residual=residual,
+                conditions=conditions,
+                agreement=True,
+                ricci_bar=ricci if single else None,
+            ))
     return verdicts[0] if single else verdicts
-
-
-def _block_verdicts(
-    factor: SasakianPointModel,
-    factor_prime: SasakianPointModel,
-    cells: tuple[HermitianParams, ...],
-    fits: tuple[float, float],
-    tol: float,
-    keep_ricci: bool,
-) -> list[EinsteinVerdict]:
-    """One stacked pass of :func:`einstein_verdict` over ``cells``."""
-    dim = factor.dim + factor_prime.dim
-    g_bar = product_metric(factor, factor_prime, _as_stack(cells)).reshape(-1, dim, dim)
-    try:
-        require_spd(g_bar, name="product metric")
-        certified, metric_error = len(cells), None
-    except MetricError as exc:
-        # the cells before the failing metric are still decided, so that
-        # an earlier disagreement is raised first
-        certified, metric_error = exc.index, exc
-    g_bar = g_bar[:certified]
-    ricci_bar = build_product_ricci(
-        factor, factor_prime, _as_stack(cells[:certified])
-    ).reshape(-1, dim, dim)
-    fitted = np.einsum("cij,cij->c", np.linalg.inv(g_bar), ricci_bar) / g_bar.shape[-1]
-    residuals = np.abs(ricci_bar - fitted[:, None, None] * g_bar).max(axis=(-2, -1))
-    p, q = factor.n, factor_prime.n
-    verdicts = []
-    for params, ricci, lam, residual in zip(cells, ricci_bar, fitted.tolist(), residuals.tolist()):
-        a, b = params.a, params.b
-        distances = (abs(a), abs(p - b * b * q), *fits)
-        conditions = StructuralConditions(*(distance <= tol for distance in distances))
-        residual_says = residual <= tol
-        structure_says = conditions.all_hold()
-        if structure_says != residual_says:
-            raise ConsistencyError(
-                "structural and residual Einstein verdicts disagree: "
-                f"structural={structure_says} residual={residual_says} "
-                f"(residual {residual:.3e}, failing {conditions.failing()}) "
-                f"at a = {float(a)!r}, b = {float(b)!r}; distances against tol {tol:g}: "
-                + ", ".join(f"{name} = {d:.3g}" for name, d in zip(DISTANCES, distances))
-            )
-        verdicts.append(EinsteinVerdict(
-            is_einstein=residual_says,
-            einstein_constant=lam,
-            residual=residual,
-            conditions=conditions,
-            agreement=True,
-            ricci_bar=ricci if keep_ricci else None,
-        ))
-    if metric_error is not None:
-        raise metric_error_at(metric_error, cells[certified]) from None
-    return verdicts
-
-
-def _as_stack(cells: tuple[HermitianParams, ...]) -> HermitianParams | ParamStack:
-    """The cells as parameters of the product formulas.
-
-    One cell stays scalar: its tensors are the same to the bit, and scalar
-    coefficients cost less than numpy arithmetic on a stack of one.
-    """
-    return cells[0] if len(cells) == 1 else ParamStack.of(cells)
 
 
 def calabi_eckmann_einstein_example(

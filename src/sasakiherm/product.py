@@ -17,7 +17,7 @@ its Reeb vector at index ``2p``; the second factor occupies
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,11 +56,6 @@ class HermitianParams:
         a, b = float(self.a), float(self.b)
         if not math.isfinite(a * a + b * b):
             raise InvalidParameterError(f"a^2 + b^2 overflows at a = {a!r}, b = {b!r}")
-
-
-def metric_error_at(error: MetricError, params: HermitianParams) -> MetricError:
-    """``error``, met on the product metric of ``params``, naming that member."""
-    return type(error)(f"{error} at a = {float(params.a)!r}, b = {float(params.b)!r}")
 
 
 @dataclass(frozen=True)
@@ -141,6 +136,46 @@ def product_metric(
     g_bar[..., :m, m:] = mixed
     g_bar[..., m:, :m] = np.swapaxes(mixed, -1, -2)
     return g_bar
+
+
+# Cells certified per stacked pass of a grid; at N = 42 each stacked tensor
+# of a pass then takes 3.6 MB, however many cells the grid has.
+GRID_BLOCK = 256
+
+
+def certified_passes(
+    factor: SasakianPointModel,
+    factor_prime: SasakianPointModel,
+    cells: Sequence[HermitianParams],
+) -> Iterator[tuple[Sequence[HermitianParams], HermitianParams | ParamStack, np.ndarray]]:
+    """A grid of members in stacked passes of up to :data:`GRID_BLOCK` cells.
+
+    Each pass yields ``(cells, params, g_bar)``: its cells, their
+    parameters for the product formulas and their ``(cells, N, N)``
+    metrics, certified by one :func:`require_spd`.  At a singular or
+    indefinite metric the pass yields the cells before it, so that a
+    consumer's error there comes first, then raises naming its ``(a, b)``.
+    """
+    dim = factor.dim + factor_prime.dim
+    for start in range(0, len(cells), GRID_BLOCK):
+        block = cells[start:start + GRID_BLOCK]
+        g_bar = product_metric(factor, factor_prime, _as_params(block)).reshape(-1, dim, dim)
+        try:
+            require_spd(g_bar, name="product metric")
+            certified, error = len(block), None
+        except MetricError as exc:
+            certified, error = exc.index, exc
+        if certified:
+            yield block[:certified], _as_params(block[:certified]), g_bar[:certified]
+        if error is not None:
+            a, b = float(block[certified].a), float(block[certified].b)
+            raise type(error)(f"{error} at a = {a!r}, b = {b!r}") from None
+
+
+def _as_params(cells: Sequence[HermitianParams]) -> HermitianParams | ParamStack:
+    # one cell stays scalar: its tensors are the same to the bit, and scalar
+    # coefficients cost less than numpy arithmetic on a stack of one
+    return cells[0] if len(cells) == 1 else ParamStack.of(cells)
 
 
 def product_complex_structure(
@@ -371,6 +406,27 @@ def scalar_curvatures(model: ProductHermitianModel) -> tuple[float, float]:
 def check_integrability(model: ProductHermitianModel) -> float:
     """Integrability residual of a product model (zero for the whole family)."""
     return integrability_residual(model.nabla_j, model.j_bar)
+
+
+def integrability_residuals(
+    factor: SasakianPointModel,
+    factor_prime: SasakianPointModel,
+    cells: Sequence[HermitianParams],
+) -> list[float]:
+    """Integrability residual of each cell of a grid, in order.
+
+    The metrics are certified by :func:`certified_passes`; each residual is
+    that of :func:`check_integrability` on the cell's product model, to the
+    bit, from the same ``J`` and ``nabla J``, built per cell.
+    """
+    return [
+        integrability_residual(
+            build_nabla_j(factor, factor_prime, params),
+            product_complex_structure(factor, factor_prime, params),
+        )
+        for block, _, _ in certified_passes(factor, factor_prime, cells)
+        for params in block
+    ]
 
 
 def check_not_kahler(model: ProductHermitianModel) -> float:

@@ -256,11 +256,12 @@ def space_form_ricci_exact(q: int, c: Fraction) -> tuple[Fraction, Fraction]:
 def d_homothetic_structure(s: SasakianStructure, alpha: float) -> SasakianStructure:
     """D-homothetic deformation of a Sasakian structure.
 
-    The metric becomes ``alpha g + alpha (alpha - 1) eta (x) eta``, the
-    Reeb field ``xi / alpha`` and the contact form ``alpha eta``; ``phi``
-    is unchanged.  Leading axes of the record's arrays broadcast.
+    The metric becomes ``alpha (g - eta (x) eta) + alpha^2 eta (x) eta``,
+    the Reeb field ``xi / alpha`` and the contact form ``alpha eta``;
+    ``phi`` is unchanged.  Leading axes of the record's arrays broadcast.
     """
-    metric = alpha * s.metric + alpha * (alpha - 1.0) * s.eta_eta
+    eta_eta = s.eta_eta  # alpha^2 as one product; alpha + alpha (alpha - 1) is 0 at tiny alpha
+    metric = alpha * (s.metric - eta_eta) + (alpha * alpha) * eta_eta
     return SasakianStructure(metric=metric, phi=s.phi, xi=s.xi / alpha, eta=alpha * s.eta)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from sasakiherm.sasakian import make_round_sphere_model
+from sasakiherm.sasakian import d_homothetic_deform, make_round_sphere_model, make_space_form_model
 from sasakiherm.tensors import contract_trace
 
 # derandomized draws and no example database: a property test passes or
@@ -61,3 +61,13 @@ def off_space_form_model(q):
         n=q, metric=sphere.metric, phi=sphere.phi, xi=sphere.xi, eta=sphere.eta,
         riemann=riemann, ricci=contract_trace(riemann, sphere.metric),
     )
+
+
+# factor pairs for grid tests: a space form, a deformed sphere, and two
+# factors off the space forms, where no cell is Einstein
+GRID_FACTORS = {
+    "space-form": lambda: (make_round_sphere_model(2), make_space_form_model(1, 5.0)),
+    "deformed": lambda: (make_round_sphere_model(2),
+                         d_homothetic_deform(make_round_sphere_model(1), 0.5)),
+    "off-space-form": lambda: (off_space_form_model(2), off_space_form_model(3)),
+}

@@ -33,7 +33,7 @@ from sasakiherm.cli import (
 )
 from sasakiherm.einstein import einstein_verdict
 from sasakiherm.errors import GeometryError, InvalidParameterError
-from sasakiherm.product import HermitianParams
+from sasakiherm.product import HermitianParams, build_product_model, check_integrability
 from sasakiherm.tensors import TOLERANCES
 
 
@@ -275,6 +275,40 @@ class TestCommands:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 4  # five grid values minus the excluded b = 0
         assert code == 0
+
+    def test_integrability_scan_equals_the_model_path(self, capsys):
+        code, out, _ = run_cli(
+            ["scan", "--p", "2", "--q", "1", "--a=-1:1:0.5", "--b", "0.5:2:0.5",
+             "--factor-prime", "deformed:0.5", "--check", "integrability"],
+            capsys,
+        )
+        assert code == 0
+        factor, factor_prime = parse_factor_spec("round")(2), parse_factor_spec("deformed:0.5")(1)
+        cells = itertools.product(parse_grid("-1:1:0.5"), parse_grid("0.5:2:0.5"))
+        expected = [check_integrability(build_product_model(factor, factor_prime,
+                                                            HermitianParams(a, b)))
+                    for a, b in cells]
+        assert [c["residual"] for c in json.loads(out)["checks"]] == expected
+
+    def test_integrability_scan_builds_no_model(self, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("a scan cell built the product curvature")
+
+        monkeypatch.setattr(sasakiherm.product, "build_product_curvature", refuse)
+        code, out, _ = run_cli(
+            ["scan", "--p", "1", "--q", "1", "--a=-1:1:0.5", "--b", "0.5:2:0.5",
+             "--check", "integrability"],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(out)["summary"]["pass"] == 20
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_verify_factor_deformed_off_unit_scale(self, capsys, p):
+        # the deformed Reeb entry alpha^2 is formed as one product
+        code, out, _ = run_cli(["verify-factor", "--p", str(p), "--factor", "deformed:0.01"],
+                               capsys)
+        assert code == 0, out
 
     def test_scan_grid_ends_at_stop(self, capsys):
         # a fine grid stays within its stop, where every cell is Einstein

@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-import sasakiherm.einstein
+import sasakiherm.product
 from sasakiherm.cli import parse_grid
 from sasakiherm.einstein import (
     calabi_eckmann_einstein_example,
@@ -31,7 +31,7 @@ from sasakiherm.sasakian import (
     space_form_ricci_coefficients,
 )
 
-from conftest import off_space_form_model
+from conftest import GRID_FACTORS
 
 
 class TestRequiredCoefficients:
@@ -215,12 +215,6 @@ def test_structural_and_residual_routes_agree_on_sample_grid():
 # cells across the Einstein locus where the two routes cannot be told apart:
 # at the first, the residual 1.2e-12 fails 1e-12 while the structure holds
 LOCUS_B = parse_grid("1.4142135623730:1.4142135623732:5e-14")
-GRID_FACTORS = {
-    "space-form": lambda: (make_round_sphere_model(2), make_space_form_model(1, 5.0)),
-    "deformed": lambda: (make_round_sphere_model(2),
-                         d_homothetic_deform(make_round_sphere_model(1), 0.5)),
-    "off-space-form": lambda: (off_space_form_model(2), off_space_form_model(3)),
-}
 
 
 def outcome(decide):
@@ -241,7 +235,7 @@ class TestGridVerdict:
     @pytest.mark.parametrize("block", [256, 5])
     @pytest.mark.parametrize("kind", sorted(GRID_FACTORS))
     def test_grid_equals_point_loop(self, monkeypatch, kind, block):
-        monkeypatch.setattr(sasakiherm.einstein, "GRID_BLOCK", block)
+        monkeypatch.setattr(sasakiherm.product, "GRID_BLOCK", block)
         factor, factor_prime = GRID_FACTORS[kind]()
         cells = [HermitianParams(a, b)
                  for a in (-0.5, 0.0, 0.3) for b in (0.7, 1.0, math.sqrt(2.0), -2.0)]
@@ -273,7 +267,7 @@ class TestGridVerdict:
         ids=["disagreement-first", "tiny-b-first", "large-a-first"],
     )
     def test_first_failing_cell_raises(self, monkeypatch, cells, error, block):
-        monkeypatch.setattr(sasakiherm.einstein, "GRID_BLOCK", block)
+        monkeypatch.setattr(sasakiherm.product, "GRID_BLOCK", block)
         factor, factor_prime = GRID_FACTORS["deformed"]()
         cells = [HermitianParams(a, b) for a, b in cells]
         found = outcome(lambda: einstein_verdict(factor, factor_prime, cells))
@@ -305,9 +299,9 @@ class TestGridVerdict:
             SasakianPointModel, "ricci_deviation",
             lambda self, *args: deviations.append(self) or deviation(self, *args),
         )
-        require_spd = sasakiherm.einstein.require_spd
+        require_spd = sasakiherm.product.require_spd
         monkeypatch.setattr(
-            sasakiherm.einstein, "require_spd",
+            sasakiherm.product, "require_spd",
             lambda metric, **kwargs: certified.append(metric.shape) or require_spd(metric, **kwargs),
         )
         factor, factor_prime = GRID_FACTORS["space-form"]()

@@ -1,12 +1,16 @@
 """Product Hermitian structure: metric, complex structure, curvature, traces."""
 
+import math
 import re
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from sasakiherm.errors import InvalidParameterError
+import sasakiherm.product
+from conftest import GRID_FACTORS
+from sasakiherm.einstein import einstein_verdict
+from sasakiherm.errors import InvalidParameterError, MetricError, SingularMetricError
 from sasakiherm.product import (
     HermitianParams,
     ParamStack,
@@ -20,6 +24,7 @@ from sasakiherm.product import (
     check_not_kahler,
     check_weakly_star_einstein,
     integrability_residual,
+    integrability_residuals,
     product_complex_structure,
     product_metric,
     scalar_curvatures,
@@ -183,6 +188,47 @@ class TestIntegrability:
         corrupted = model.j_bar.copy()
         corrupted[:, 5] *= -1.0  # flip the second Reeb column
         assert integrability_residual(model.nabla_j, corrupted) > 0.1
+
+
+class TestIntegrabilityGrid:
+    """A grid's integrability residuals, decided in the certified passes."""
+
+    @pytest.mark.parametrize("block", [256, 5])
+    @pytest.mark.parametrize("kind", sorted(GRID_FACTORS))
+    def test_grid_equals_model_loop(self, monkeypatch, kind, block):
+        monkeypatch.setattr(sasakiherm.product, "GRID_BLOCK", block)
+        factor, factor_prime = GRID_FACTORS[kind]()
+        cells = [HermitianParams(a, b)
+                 for a in (-0.5, 0.0, 0.3) for b in (0.7, 1.0, math.sqrt(2.0), -2.0)]
+        grid = integrability_residuals(factor, factor_prime, cells)
+        loop = [check_integrability(build_product_model(factor, factor_prime, params))
+                for params in cells]
+        assert grid == loop  # floats compared exactly
+        assert max(grid) <= 1e-12
+
+    def test_empty_grid(self):
+        assert integrability_residuals(*GRID_FACTORS["deformed"](), []) == []
+
+    @pytest.mark.parametrize(
+        "cells,failing",
+        [
+            ([(0.5, 1.0), (0.0, 1.0), (0.0, 1e-7), (1e154, 1.0)], "a = 0.0, b = 1e-07"),
+            ([(0.5, 1.0), (0.0, 1.0), (0.3, 1.0), (1e154, 1.0)], "a = 1e+154, b = 1.0"),
+        ],
+        ids=["tiny-b-first", "large-a-first"],
+    )
+    def test_first_failing_cell_in_a_later_pass_raises(self, monkeypatch, cells, failing):
+        monkeypatch.setattr(sasakiherm.product, "GRID_BLOCK", 2)
+        factor, factor_prime = GRID_FACTORS["deformed"]()
+        cells = [HermitianParams(a, b) for a, b in cells]
+        with pytest.raises(SingularMetricError) as excinfo:
+            integrability_residuals(factor, factor_prime, cells)
+        assert str(excinfo.value).startswith("product metric is singular (")
+        assert str(excinfo.value).endswith(f") at {failing}")
+        # the Einstein scan meets the same cell through the same pass
+        with pytest.raises(MetricError) as einstein_info:
+            einstein_verdict(factor, factor_prime, cells)
+        assert str(einstein_info.value) == str(excinfo.value)
 
 
 class TestNotKahler:

@@ -14,6 +14,7 @@ from sasakiherm.sasakian import (
     _space_form_curvature,
     classify_eta_einstein,
     d_homothetic_deform,
+    d_homothetic_structure,
     make_round_sphere_model,
     make_space_form_model,
     sasakian_structure_residuals,
@@ -362,6 +363,15 @@ class TestDHomotheticDeformation:
         deformed = d_homothetic_deform(make_round_sphere_model(2), alpha)
         residuals = sasakian_structure_residuals(deformed)
         assert max(residuals.values()) <= 1e-12, residuals
+
+    @pytest.mark.parametrize("alpha", [1e-8, 1e-17, 0.01, 3.0])
+    def test_reeb_entry_is_alpha_squared(self, alpha):
+        # alpha + alpha (alpha - 1) would round to 0 below alpha ~ 1e-16
+        sphere = make_round_sphere_model(2)
+        deformed = d_homothetic_structure(sphere, alpha)
+        assert deformed.metric[-1, -1] == alpha * alpha
+        npt.assert_array_equal(deformed.metric[:-1, :-1], alpha * sphere.metric[:-1, :-1])
+        npt.assert_array_equal(deformed.metric[-1, :-1], 0.0)
 
     def test_nonpositive_alpha_rejected(self):
         for alpha in (0.0, -1.0, np.nan, np.inf):
