@@ -330,9 +330,9 @@ def _run_einstein(args) -> tuple[list[CheckRecord], dict]:
     factor, factor_prime = _build_factors(args)
     params = HermitianParams(a=args.a, b=args.b)
     verdict = einstein_verdict(factor, factor_prime, params)
-    # g(xi, xi) of the product metric is the entry of the first factor's metric
+    # g(xi, xi) = 1 in the product metric, as in the first factor's standard frame
     reeb = factor.dim - 1
-    reeb_value = verdict.ricci_bar[reeb, reeb] / factor.metric[reeb, reeb]
+    reeb_value = verdict.ricci_bar[reeb, reeb]
     checks = [
         _check("einstein_residual",
                f"ricci = lambda g with lambda fitted as tau/N = {verdict.einstein_constant!r}",

@@ -38,7 +38,7 @@ class StructuralConditions:
     """The four structural requirements for an Einstein product.
 
     Each holds when its distance, named in :data:`DISTANCES`, is at most
-    the verdict's tolerance.
+    :data:`~sasakiherm.tensors.ALGEBRAIC_TOL`.
     """
 
     a_is_zero: bool
@@ -77,9 +77,6 @@ class EinsteinVerdict:
     agreement: bool
     ricci_bar: np.ndarray | None = field(compare=False, repr=False)
 
-    def failing_conditions(self) -> tuple[str, ...]:
-        return self.conditions.failing()
-
 
 @dataclass(frozen=True)
 class EinsteinExampleSpec:
@@ -108,7 +105,6 @@ def einstein_verdict(
     factor: SasakianPointModel,
     factor_prime: SasakianPointModel,
     params: HermitianParams | Sequence[HermitianParams],
-    tol: float = ALGEBRAIC_TOL,
 ) -> EinsteinVerdict | list[EinsteinVerdict]:
     """Decide the Einstein condition along both routes and cross-check.
 
@@ -140,15 +136,15 @@ def einstein_verdict(
         for cell, ricci, lam, residual in zip(block, ricci_bar, fitted.tolist(), residuals):
             a, b = cell.a, cell.b
             distances = (abs(a), abs(p - b * b * q), *fits)
-            conditions = StructuralConditions(*(distance <= tol for distance in distances))
-            residual_says = residual <= tol
+            conditions = StructuralConditions(*(distance <= ALGEBRAIC_TOL for distance in distances))
+            residual_says = residual <= ALGEBRAIC_TOL
             structure_says = conditions.all_hold()
             if structure_says != residual_says:
                 raise ConsistencyError(
                     "structural and residual Einstein verdicts disagree: "
                     f"structural={structure_says} residual={residual_says} "
                     f"(residual {residual:.3e}, failing {conditions.failing()}) "
-                    f"at a = {float(a)!r}, b = {float(b)!r}; distances against tol {tol:g}: "
+                    f"at a = {float(a)!r}, b = {float(b)!r}; distances against tol {ALGEBRAIC_TOL:g}: "
                     + ", ".join(f"{name} = {d:.3g}" for name, d in zip(DISTANCES, distances))
                 )
             verdicts.append(EinsteinVerdict(

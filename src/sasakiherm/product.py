@@ -27,6 +27,7 @@ from .sasakian import SasakianPointModel, SasakianStructure
 from .tensors import (
     TOLERANCES,
     contract_trace,
+    freeze_fields,
     integrability_residual,
     require_spd,
     symmetrize,
@@ -95,10 +96,9 @@ class ProductHermitianModel:
     tau_star_bar: float
 
     def __post_init__(self):
-        for name in ("g_bar", "j_bar", "nabla_j", "riemann_bar", "ricci_bar", "ricci_star_bar"):
-            arr = np.ascontiguousarray(np.asarray(getattr(self, name), dtype=float))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        freeze_fields(
+            self, ("g_bar", "j_bar", "nabla_j", "riemann_bar", "ricci_bar", "ricci_star_bar")
+        )
 
     @property
     def p(self) -> int:

@@ -2,12 +2,13 @@
 
 A :class:`SasakianStructure` records the tensors ``(g, phi, xi, eta)``;
 the factor models and the chart fields are such records.  A
-:class:`SasakianPointModel` extends it with the curvature, and holds the
-value of every structure tensor at a point, expressed in an adapted
-orthonormal frame: the metric is the identity, the Reeb vector ``xi``
-is the last basis vector, ``eta`` is its dual covector, and ``phi``
-rotates the remaining basis vectors in pairs
-(``phi e_{2k} = e_{2k+1}``, ``phi e_{2k+1} = -e_{2k}``).
+:class:`SasakianPointModel` extends it with the curvature at a point,
+expressed in the standard adapted orthonormal frame of
+:func:`standard_frame`: the metric is the identity, the Reeb vector
+``xi`` is the last basis vector, ``eta`` is its dual covector, and
+``phi`` rotates the remaining basis vectors in pairs
+(``phi e_{2k} = e_{2k+1}``, ``phi e_{2k+1} = -e_{2k}``).  The frame is a
+property of the type, so a model is its curvature.
 
 The homogeneous spaces modeled here (round spheres, space forms of
 constant phi-holomorphic sectional curvature, and their D-homothetic
@@ -17,19 +18,14 @@ frame per factor represents the whole manifold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
 from .errors import InvalidParameterError
-from .tensors import (
-    adapted_frame,
-    contract_trace,
-    curvature_symmetry_residuals,
-    orthonormal_frame,
-    symmetrize,
-)
+from .tensors import contract_trace, curvature_symmetry_residuals, freeze_fields, symmetrize
 
 
 @dataclass(frozen=True)
@@ -62,28 +58,53 @@ class SasakianStructure:
         return self.metric - self.eta_eta
 
 
+@cache
+def standard_frame(n: int) -> SasakianStructure:
+    """The structure tensors of dimension ``2 n + 1`` in their adapted orthonormal frame.
+
+    Built once per ``n``; every model with that ``n`` shares these read-only arrays.
+    """
+    if n < 1:
+        raise InvalidParameterError(f"need at least one phi-pair, got {n}")
+    dim = 2 * n + 1
+    phi = np.zeros((dim, dim))
+    k = np.arange(n)
+    phi[2 * k + 1, 2 * k] = 1.0
+    phi[2 * k, 2 * k + 1] = -1.0
+    reeb = np.zeros(dim)
+    reeb[-1] = 1.0
+    frame = SasakianStructure(metric=np.eye(dim), phi=phi, xi=reeb, eta=reeb)
+    freeze_fields(frame, ("metric", "phi", "xi", "eta"))
+    return frame
+
+
 @dataclass(frozen=True)
 class SasakianPointModel(SasakianStructure):
-    """Pointwise data of a Sasakian structure in an adapted frame.
+    """Pointwise curvature of a Sasakian structure in its standard frame.
 
     ``n`` counts the phi-rotated pairs; the dimension is ``2 n + 1``.
     ``riemann`` is fully covariant with index order (X, Y, Z, W) and
-    ``ricci`` is its metric trace over the middle slots.
+    ``ricci`` is its metric trace over the middle slots.  The structure
+    tensors are not arguments: they are the shared arrays of
+    :func:`standard_frame`, so a raised index equals the lowered one.
     """
 
+    metric: np.ndarray = field(init=False)
+    phi: np.ndarray = field(init=False)
+    xi: np.ndarray = field(init=False)
+    eta: np.ndarray = field(init=False)
     n: int
     riemann: np.ndarray
     ricci: np.ndarray
 
     def __post_init__(self):
-        for name in ("metric", "phi", "xi", "eta", "riemann", "ricci"):
-            arr = np.ascontiguousarray(np.asarray(getattr(self, name), dtype=float))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if self.metric.shape != (self.dim, self.dim):
-            raise InvalidParameterError(
-                f"metric shape {self.metric.shape} does not match dimension {self.dim}"
-            )
+        frame = standard_frame(self.n)
+        for name in ("metric", "phi", "xi", "eta"):
+            object.__setattr__(self, name, getattr(frame, name))
+        freeze_fields(self, ("riemann", "ricci"))
+        for name, rank in (("riemann", 4), ("ricci", 2)):
+            if (shape := getattr(self, name).shape) != (self.dim,) * rank:
+                raise InvalidParameterError(f"{name} shape {shape} does not match dimension {self.dim}")
 
     @property
     def dim(self) -> int:
@@ -158,15 +179,6 @@ class SasakianIdentityResiduals:
 MAX_SPACE_FORM_C = 1e300
 
 
-def _pairwise_rotation(p: int) -> np.ndarray:
-    n = 2 * p + 1
-    phi = np.zeros((n, n))
-    for k in range(p):
-        phi[2 * k + 1, 2 * k] = 1.0
-        phi[2 * k, 2 * k + 1] = -1.0
-    return phi
-
-
 def _space_form_curvature(g, phi, eta, c) -> np.ndarray:
     """Covariant curvature of constant phi-holomorphic sectional curvature c.
 
@@ -196,22 +208,14 @@ def make_round_sphere_model(p: int) -> SasakianPointModel:
 
 def make_space_form_model(q: int, c: float) -> SasakianPointModel:
     """Sasakian space form of constant phi-holomorphic sectional curvature ``c``."""
-    if q < 1:
-        raise InvalidParameterError(f"need at least one phi-pair, got {q}")
+    frame = standard_frame(q)
     if not abs(c) <= MAX_SPACE_FORM_C:
         raise InvalidParameterError(
             f"space-form curvature c = {c!r} is outside |c| <= {MAX_SPACE_FORM_C:g}"
         )
-    dim = 2 * q + 1
-    g = np.eye(dim)
-    phi = _pairwise_rotation(q)
-    eta = np.zeros(dim)
-    eta[-1] = 1.0
-    riemann = _space_form_curvature(g, phi, eta, float(c))
-    return SasakianPointModel(
-        n=q, metric=g, phi=phi, xi=eta.copy(), eta=eta,
-        riemann=riemann, ricci=symmetrize(contract_trace(riemann, g)),
-    )
+    riemann = _space_form_curvature(frame.metric, frame.phi, frame.eta, float(c))
+    # in an orthonormal frame the metric trace is the plain one
+    return SasakianPointModel(n=q, riemann=riemann, ricci=symmetrize(np.einsum("xiiw->xw", riemann)))
 
 
 def space_form_ricci_coefficients(q, c):
@@ -235,11 +239,8 @@ def space_form_ricci_exact(q: int, c: Fraction) -> tuple[Fraction, Fraction]:
     ``(g_coeff, eta_coeff)`` of the resulting Ricci tensor.  No floating
     point enters.
     """
-    dim = 2 * q + 1
-    g = np.eye(dim, dtype=int).astype(object)
-    eta = np.zeros(dim, dtype=int).astype(object)
-    eta[-1] = 1
-    phi = _pairwise_rotation(q).astype(int).astype(object)
+    frame = standard_frame(q)
+    g, phi, eta = (a.astype(int).astype(object) for a in (frame.metric, frame.phi, frame.eta))
     ricci = np.einsum("xiiw->xw", _space_form_curvature(g, phi, eta, Fraction(c)))
     g_coeff = ricci[0, 0]
     eta_coeff = ricci[-1, -1] - g_coeff
@@ -271,49 +272,43 @@ def d_homothetic_deform(model: SasakianPointModel, alpha: float) -> SasakianPoin
     The structure tensors transform by :func:`d_homothetic_structure`.
     The curvature of the deformed metric follows pointwise from the
     connection shift ``nabla' = nabla - (alpha - 1) (eta (x) phi + phi (x) eta)``,
-    which is valid on any Sasakian structure; everything is then
-    re-expressed in a new adapted orthonormal frame so the output
-    satisfies the same frame conventions as the constructors.
+    which is valid on any Sasakian structure.  The deformed metric is
+    ``alpha`` on the contact distribution and ``alpha^2`` on ``xi``, so its
+    adapted orthonormal frame is ``diag(alpha^-1/2, ..., alpha^-1/2, 1/alpha)``,
+    in which the structure tensors are the standard frame's again, so only
+    the curvature is re-expressed.
     """
     if not (np.isfinite(alpha) and alpha > 0.0):
         raise InvalidParameterError(f"deformation parameter must be positive and finite, got {alpha}")
     alpha = float(alpha)
-    if not np.isfinite(alpha * alpha):  # the curvature shift carries (alpha - 1)^2
-        raise InvalidParameterError(f"deformation parameter {alpha!r} has a square that overflows")
-    g, phi, xi, eta, riemann = model.metric, model.phi, model.xi, model.eta, model.riemann
-    dim = model.dim
-    ident = np.eye(dim)
-    gphi = model.gphi
+    if not np.isfinite(alpha * alpha * alpha):  # the lowered curvature carries (alpha - 1)^2 alpha
+        raise InvalidParameterError(f"deformation parameter {alpha!r} has a cube that overflows")
+    inverse = 1.0 / alpha
+    if not np.isfinite(inverse * inverse * inverse * inverse):  # four frame entries 1/alpha
+        raise InvalidParameterError(
+            f"deformation parameter {alpha!r} has a fourth inverse power that overflows"
+        )
+    g, phi, eta, riemann, gphi = model.metric, model.phi, model.eta, model.riemann, model.gphi
     new = d_homothetic_structure(model, alpha)
 
-    r13 = np.einsum("xyzw,wm->xyzm", riemann, np.linalg.inv(g))
+    # in an orthonormal frame raising the last index is the identity, and xi = eta
     shift1 = (
         2.0 * np.einsum("xy,mz->xyzm", gphi, phi)
         + np.einsum("xz,my->xyzm", gphi, phi)
         - np.einsum("yz,mx->xyzm", gphi, phi)
-        - np.einsum("y,xz,m->xyzm", eta, g, xi)
-        + np.einsum("x,yz,m->xyzm", eta, g, xi)
-        + 2.0 * np.einsum("y,z,xm->xyzm", eta, eta, ident)
-        - 2.0 * np.einsum("x,z,ym->xyzm", eta, eta, ident)
+        - np.einsum("y,xz,m->xyzm", eta, g, eta)
+        + np.einsum("x,yz,m->xyzm", eta, g, eta)
+        + 2.0 * np.einsum("y,z,xm->xyzm", eta, eta, g)
+        - 2.0 * np.einsum("x,z,ym->xyzm", eta, eta, g)
     )
-    shift2 = np.einsum("y,z,xm->xyzm", eta, eta, ident) - np.einsum(
-        "x,z,ym->xyzm", eta, eta, ident
-    )
-    r13_new = r13 + (alpha - 1.0) * shift1 + (alpha - 1.0) ** 2 * shift2
+    shift2 = np.einsum("y,z,xm->xyzm", eta, eta, g) - np.einsum("x,z,ym->xyzm", eta, eta, g)
+    r13_new = riemann + (alpha - 1.0) * shift1 + (alpha - 1.0) ** 2 * shift2
     r4_new = np.einsum("xyzm,wm->xyzw", r13_new, new.metric)
 
-    frame = adapted_frame(new.metric, phi, new.xi)
-    frame_inv = np.linalg.inv(frame)
-    g_hat = symmetrize(frame.T @ new.metric @ frame)
-    phi_hat = frame_inv @ phi @ frame
-    xi_hat = frame_inv @ new.xi
-    eta_hat = frame.T @ new.eta
+    frame = np.diag(np.full(model.dim, 1.0 / np.sqrt(alpha)))
+    frame[-1, -1] = inverse
     r_hat = np.einsum("ia,jb,kc,ld,ijkl->abcd", frame, frame, frame, frame, r4_new)
-    ricci_hat = symmetrize(contract_trace(r_hat, g_hat))
-    return SasakianPointModel(
-        n=model.n, metric=g_hat, phi=phi_hat, xi=xi_hat, eta=eta_hat,
-        riemann=r_hat, ricci=ricci_hat,
-    )
+    return SasakianPointModel(n=model.n, riemann=r_hat, ricci=symmetrize(np.einsum("xiiw->xw", r_hat)))
 
 
 def classify_eta_einstein(model: SasakianPointModel) -> EtaEinsteinCoefficients:
@@ -324,9 +319,9 @@ def classify_eta_einstein(model: SasakianPointModel) -> EtaEinsteinCoefficients:
     variation of the diagonal across the remaining directions, so a poor
     fit is signaled by the residual, never an exception.
     """
-    ricci, g = model.ricci, model.metric
-    g_coeff = float(ricci[0, 0] / g[0, 0])
-    eta_coeff = float(ricci[-1, -1] - g_coeff * g[-1, -1])
+    ricci = model.ricci
+    g_coeff = float(ricci[0, 0])
+    eta_coeff = float(ricci[-1, -1] - g_coeff)
     residual = model.ricci_deviation(g_coeff, eta_coeff)
     return EtaEinsteinCoefficients(g_coeff=g_coeff, eta_coeff=eta_coeff, residual=residual)
 
@@ -357,18 +352,15 @@ def verify_sasakian_curvature_identities(
     space_form = _space_form_curvature(g, phi, eta, c)
     phi_exchange = float(np.abs(exchange(riemann) - exchange(space_form)).max())
 
-    # trace identities run over a metric-orthonormal frame e_i, through the
-    # one operator pair = sum_i phi e_i (x) e_i
-    frame = orthonormal_frame(g)
-    pair = (phi @ frame) @ frame.T
+    # the traces over the orthonormal frame e_i run through sum_i phi e_i (x) e_i = phi
     pair_target = 2.0 * ricci_phi + 2.0 * (2 * n - 1) * model.gphi
 
     # the traced phi-exchange right-hand side is -3/2 of the pair trace's
-    tr1 = np.tensordot(riemann, pair, ([2, 3], [0, 1]))
-    tr1 -= np.tensordot(riemann, pair, ([0, 3], [0, 1]))
+    tr1 = np.tensordot(riemann, phi, ([2, 3], [0, 1]))
+    tr1 -= np.tensordot(riemann, phi, ([0, 3], [0, 1]))
     traced_phi_exchange = float(np.abs(tr1 + 1.5 * pair_target).max())
 
-    tr2 = np.tensordot(riemann, pair, ([2, 3], [1, 0]))  # sum_i R(X, Y, e_i, phi e_i)
+    tr2 = np.tensordot(riemann, phi, ([2, 3], [1, 0]))  # sum_i R(X, Y, e_i, phi e_i)
     phi_pair_trace = float(np.abs(tr2 - pair_target).max())
 
     tr3 = tr2 @ phi  # sum_i R(X, phi Y, e_i, phi e_i)
@@ -394,12 +386,10 @@ def sasakian_structure_residuals(model: SasakianPointModel) -> dict[str, float]:
     g, phi, xi, eta, riemann, ricci = (
         model.metric, model.phi, model.xi, model.eta, model.riemann, model.ricci,
     )
-    dim = model.dim
-    ident = np.eye(dim)
     out: dict[str, float] = {}
     out["eta_of_xi"] = abs(float(eta @ xi) - 1.0)
     out["eta_is_metric_dual_of_xi"] = float(np.abs(eta - g @ xi).max())
-    out["phi_squared"] = float(np.abs(phi @ phi + ident - np.outer(xi, eta)).max())
+    out["phi_squared"] = float(np.abs(phi @ phi + g - np.outer(xi, eta)).max())
     out["phi_kills_xi"] = float(np.abs(phi @ xi).max())
     out["eta_kills_phi"] = float(np.abs(eta @ phi).max())
     out["phi_metric_compatibility"] = float(np.abs(model.gphi @ phi - model.transverse).max())

@@ -25,6 +25,14 @@ TOLERANCES = {
 }
 
 
+def freeze_fields(record, names) -> None:
+    """Store each named field of a frozen dataclass as a contiguous, read-only float array."""
+    for name in names:
+        arr = np.ascontiguousarray(np.asarray(getattr(record, name), dtype=float))
+        arr.setflags(write=False)
+        object.__setattr__(record, name, arr)
+
+
 def symmetrize(form: np.ndarray) -> np.ndarray:
     """Exactly symmetric part of a square matrix, or of each in a stack."""
     # halving each term first keeps the sum finite wherever the input is

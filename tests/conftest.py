@@ -57,10 +57,7 @@ def off_space_form_model(q):
         v[-1] = 0.0
         omega = np.outer(v, sphere.phi @ v) - np.outer(sphere.phi @ v, v)
         riemann += rng.normal() * np.einsum("xy,zw->xyzw", omega, omega)
-    return type(sphere)(
-        n=q, metric=sphere.metric, phi=sphere.phi, xi=sphere.xi, eta=sphere.eta,
-        riemann=riemann, ricci=contract_trace(riemann, sphere.metric),
-    )
+    return type(sphere)(n=q, riemann=riemann, ricci=contract_trace(riemann, sphere.metric))
 
 
 # factor pairs for grid tests: a space form, a deformed sphere, and two

@@ -160,7 +160,7 @@ def test_criterion_3_einstein_iff():
                         factor = _random_factor(rng, p, q / p)
                         factor_prime = _random_factor(rng, q, q / p)
                         params = HermitianParams(a, b)
-                        verdict = einstein_verdict(factor, factor_prime, params, tol=tol)
+                        verdict = einstein_verdict(factor, factor_prime, params)
                         assert verdict.agreement
                         # independent characterization of the Einstein set
                         g_req, eta_req = required_eta_einstein_coefficients(p, q)

@@ -310,6 +310,17 @@ class TestCommands:
                                capsys)
         assert code == 0, out
 
+    @pytest.mark.parametrize("alpha", ["1e-12", "1e-13", "1e-17", "1e-77"])
+    @pytest.mark.parametrize("command", ["verify-factor", "verify-product", "einstein"])
+    def test_tiny_deformation_completes(self, capsys, command, alpha):
+        # the deformed factor's adapted frame is diagonal, with no absolute floor;
+        # absolute tolerances still fail some checks this far from unit scale
+        argv = [command, "--p", "2", "--factor", f"deformed:{alpha}"]
+        code, out, err = run_cli(argv if command == "verify-factor" else argv + ["--q", "1"],
+                                 capsys)
+        assert (code, err) == (1, "")
+        assert all(math.isfinite(check["residual"]) for check in json.loads(out)["checks"])
+
     def test_scan_grid_ends_at_stop(self, capsys):
         # a fine grid stays within its stop, where every cell is Einstein
         code, out, _ = run_cli(
@@ -405,7 +416,7 @@ class TestScanErrors:
         assert code == 2
         assert err.startswith(
             "error: structural and residual Einstein verdicts disagree: structural=True "
-            "residual=False (residual 1.209e-12, failing ()) at a = 0.0, b = 1.414213562373; "
+            "residual=False (residual 1.207e-12, failing ()) at a = 0.0, b = 1.414213562373; "
             "distances against tol 1e-12: |a| = 0, |p - b^2 q| = 2.68e-13, factor max"
         )
 
@@ -481,7 +492,17 @@ class TestExitCodes:
         code, out, err = run_cli(argv, capsys)
         assert code == 2
         assert out == ""
-        assert err == "error: deformation parameter 2e+154 has a square that overflows\n"
+        assert err == "error: deformation parameter 2e+154 has a cube that overflows\n"
+
+    @pytest.mark.parametrize("alpha,power", [("1e150", "cube"), ("1e-78", "fourth inverse power")])
+    @pytest.mark.parametrize("command", ["verify-factor", "einstein"])
+    def test_deformation_whose_frame_power_overflows_is_usage_error(
+        self, capsys, command, alpha, power
+    ):
+        code, out, err = run_cli([command, "--p", "1", "--factor", f"deformed:{alpha}"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: deformation parameter {float(alpha)!r} has a {power} that overflows\n"
 
     @pytest.mark.parametrize(
         "grids,cells",

@@ -1,6 +1,7 @@
 """Einstein verdicts, the sphere-product examples, and the structural iff."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -60,7 +61,7 @@ class TestVerdict:
         assert verdict.agreement
         assert verdict.einstein_constant == pytest.approx(4.0, abs=1e-13)
         assert verdict.residual <= 1e-12
-        assert verdict.failing_conditions() == ()
+        assert verdict.conditions.failing() == ()
 
     def test_trivial_riemannian_product(self):
         factor = make_round_sphere_model(1)
@@ -72,20 +73,20 @@ class TestVerdict:
         factor = make_round_sphere_model(1)
         verdict = einstein_verdict(factor, factor, HermitianParams(0.5, 1.0))
         assert not verdict.is_einstein
-        assert "a_is_zero" in verdict.failing_conditions()
+        assert "a_is_zero" in verdict.conditions.failing()
 
     def test_dimension_mismatch_fails(self):
         factor = make_round_sphere_model(1)
         verdict = einstein_verdict(factor, factor, HermitianParams(0.0, 2.0))
         assert not verdict.is_einstein
-        assert "p_equals_b2q" in verdict.failing_conditions()
+        assert "p_equals_b2q" in verdict.conditions.failing()
 
     def test_wrong_second_factor_fails(self):
         factor = make_round_sphere_model(2)
         factor_prime = make_space_form_model(1, 3.0)  # needs c = 5
         verdict = einstein_verdict(factor, factor_prime, HermitianParams(0.0, math.sqrt(2.0)))
         assert not verdict.is_einstein
-        assert "factor_prime_eta_einstein" in verdict.failing_conditions()
+        assert "factor_prime_eta_einstein" in verdict.conditions.failing()
 
 
 class TestSphereProductExamples:
@@ -172,20 +173,13 @@ def test_disagreement_between_routes_raises():
     s = a * a + b * b
     lam = 2.0 * (p + q * s)
     base = make_round_sphere_model(p)
-    rigged = type(base)(
-        n=base.n, metric=base.metric, phi=base.phi, xi=base.xi, eta=base.eta,
-        riemann=base.riemann,
-        ricci=lam * base.metric - 2.0 * a * a * q * np.outer(base.eta, base.eta),
-    )
+    rigged = replace(base, ricci=lam * base.metric - 2.0 * a * a * q * base.eta_eta)
     prime_ricci = (
         (lam + 2.0 * (s - 1.0)) * base.metric
         + (lam * (s - 1.0) - 2.0 * (p * a * a + s - 1.0 + q * (s - 1.0) * (s + 1.0)))
         * np.outer(base.eta, base.eta)
     )
-    rigged_prime = type(base)(
-        n=base.n, metric=base.metric, phi=base.phi, xi=base.xi, eta=base.eta,
-        riemann=base.riemann, ricci=prime_ricci,
-    )
+    rigged_prime = replace(base, ricci=prime_ricci)
     with pytest.raises(ConsistencyError):
         einstein_verdict(rigged, rigged_prime, HermitianParams(a, b))
 
@@ -281,7 +275,7 @@ class TestGridVerdict:
         message = str(excinfo.value)
         assert message.startswith(
             "structural and residual Einstein verdicts disagree: structural=True residual=False "
-            "(residual 1.209e-12, failing ()) at a = 0.0, b = 1.414213562373; "
+            "(residual 1.207e-12, failing ()) at a = 0.0, b = 1.414213562373; "
             "distances against tol 1e-12: |a| = 0, |p - b^2 q| = 2.68e-13, "
         )
         assert "factor max |Ric - 2p g| = " in message

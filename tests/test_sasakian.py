@@ -1,6 +1,7 @@
 """Sasakian factor models: spheres, space forms, deformations, identity suites."""
 
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from conftest import off_space_form_model, random_curvature_like, random_spd
 from sasakiherm.errors import InvalidParameterError
 from sasakiherm.sasakian import (
     MAX_SPACE_FORM_C,
+    SasakianPointModel,
     _space_form_curvature,
     classify_eta_einstein,
     d_homothetic_deform,
@@ -20,6 +22,7 @@ from sasakiherm.sasakian import (
     sasakian_structure_residuals,
     space_form_ricci_coefficients,
     space_form_ricci_exact,
+    standard_frame,
     verify_sasakian_curvature_identities,
 )
 from sasakiherm.tensors import contract_trace, orthonormal_frame, sectional_curvature
@@ -88,6 +91,60 @@ def phi_sectional_curvature(model):
     x = np.zeros(model.dim)
     x[0] = 1.0
     return sectional_curvature(model.riemann, model.metric, x, model.phi @ x)
+
+
+class TestStandardFrame:
+    def test_frame_is_adapted_and_orthonormal(self):
+        frame = standard_frame(2)
+        npt.assert_array_equal(frame.metric, np.eye(5))
+        rotation = np.array([[0.0, -1.0], [1.0, 0.0]])  # phi e_0 = e_1, phi e_1 = -e_0
+        npt.assert_array_equal(frame.phi[:4, :4], np.kron(np.eye(2), rotation))
+        npt.assert_array_equal(frame.phi[4], 0.0)
+        npt.assert_array_equal(frame.phi[:, 4], 0.0)
+        npt.assert_array_equal(frame.xi, [0.0, 0.0, 0.0, 0.0, 1.0])
+        npt.assert_array_equal(frame.eta, frame.xi)
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_every_constructor_shares_one_read_only_frame(self, q):
+        frame = standard_frame(q)
+        deformed = d_homothetic_deform(make_round_sphere_model(q), 0.5)
+        models = [
+            make_round_sphere_model(q),
+            *(make_space_form_model(q, c) for c in (-1.0, 1.0, 5.0)),
+            deformed,
+            d_homothetic_deform(deformed, 3.0),
+            off_space_form_model(q),
+        ]
+        for model in models:
+            for name in ("metric", "phi", "xi", "eta"):
+                array = getattr(model, name)
+                assert array is getattr(frame, name), name
+                assert not array.flags.writeable, name
+
+    def test_arrays_cannot_be_written(self):
+        model = make_round_sphere_model(1)
+        with pytest.raises(ValueError, match="read-only"):
+            model.metric[0, 0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            model.riemann[0, 1, 1, 0] = 2.0
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_model_without_phi_pairs_rejected(self, n):
+        with pytest.raises(InvalidParameterError, match=f"need at least one phi-pair, got {n}"):
+            SasakianPointModel(n=n, riemann=np.zeros((1, 1, 1, 1)), ricci=np.zeros((1, 1)))
+
+    def test_frame_is_not_an_argument(self):
+        model = make_round_sphere_model(1)
+        with pytest.raises(TypeError):
+            type(model)(n=1, metric=model.metric, riemann=model.riemann, ricci=model.ricci)
+
+    @pytest.mark.parametrize("name,shape", [("riemann", (3, 3, 3, 3)), ("riemann", (5, 5)),
+                                            ("ricci", (3, 3)), ("ricci", (5, 5, 5, 5))])
+    def test_wrong_shape_rejected(self, name, shape):
+        model = make_round_sphere_model(2)
+        with pytest.raises(InvalidParameterError,
+                           match=re.escape(f"{name} shape {shape} does not match dimension 5")):
+            replace(model, **{name: np.zeros(shape)})
 
 
 class TestRoundSphere:
@@ -232,10 +289,7 @@ class TestEtaEinsteinClassification:
         ricci = model.ricci.copy()
         ricci[0, 1] += 0.1
         ricci[1, 0] += 0.1
-        perturbed = type(model)(
-            n=model.n, metric=model.metric, phi=model.phi, xi=model.xi, eta=model.eta,
-            riemann=model.riemann, ricci=ricci,
-        )
+        perturbed = replace(model, ricci=ricci)
         assert classify_eta_einstein(perturbed).residual >= 0.1
 
 
@@ -248,10 +302,7 @@ class TestCurvatureIdentitySuite:
     def test_flat_curvature_negative_control(self):
         # with R = 0 the phi-pair trace identity residual is 2 max|g(phiX, Y)| = 2
         model = make_round_sphere_model(1)
-        flat = type(model)(
-            n=1, metric=model.metric, phi=model.phi, xi=model.xi, eta=model.eta,
-            riemann=np.zeros((3, 3, 3, 3)), ricci=np.zeros((3, 3)),
-        )
+        flat = type(model)(n=1, riemann=np.zeros((3, 3, 3, 3)), ricci=np.zeros((3, 3)))
         residuals = verify_sasakian_curvature_identities(flat)
         assert residuals.phi_pair_trace == pytest.approx(2.0, abs=1e-14)
 
@@ -269,10 +320,7 @@ class TestCurvatureIdentitySuite:
         # pairing the space-form curvature with the round-sphere Ricci
         # tensor makes the suite use exactly its c = 1 right-hand sides
         space_form = make_space_form_model(q, c)
-        mismatched = type(space_form)(
-            n=q, metric=space_form.metric, phi=space_form.phi, xi=space_form.xi, eta=space_form.eta,
-            riemann=space_form.riemann, ricci=make_round_sphere_model(q).ricci,
-        )
+        mismatched = replace(space_form, ricci=make_round_sphere_model(q).ricci)
         residuals = verify_sasakian_curvature_identities(mismatched)
         values = (
             residuals.phi_exchange,
@@ -316,15 +364,14 @@ class TestCurvatureIdentitySuite:
 
     @pytest.mark.parametrize("q", [1, 2, 3])
     def test_matches_einsum_traces_on_generic_tensors(self, q):
-        # a random SPD metric, endomorphism, covector and curvature-like tensor
-        # make every residual of order one, so the two forms agree relatively
+        # a random curvature-like tensor and an unrelated random symmetric Ricci
+        # tensor in the standard frame make every residual of order one, so the
+        # two forms agree relatively
         rng = np.random.default_rng(100 + q)
         dim = 2 * q + 1
-        riemann = random_curvature_like(rng, dim)
-        metric = random_spd(rng, dim)
+        ricci = rng.normal(size=(dim, dim))
         model = type(make_round_sphere_model(q))(
-            n=q, metric=metric, phi=rng.normal(size=(dim, dim)), xi=rng.normal(size=dim),
-            eta=rng.normal(size=dim), riemann=riemann, ricci=contract_trace(riemann, metric),
+            n=q, riemann=random_curvature_like(rng, dim), ricci=ricci + ricci.T,
         )
         found = identity_values(verify_sasakian_curvature_identities(model))
         npt.assert_allclose(found, identity_residuals_einsum(model), rtol=1e-13)
@@ -379,8 +426,33 @@ class TestDHomotheticDeformation:
                 d_homothetic_deform(make_round_sphere_model(1), alpha)
 
     def test_alpha_whose_square_overflows_rejected(self):
-        with pytest.raises(InvalidParameterError, match="1e\\+200 has a square that overflows"):
+        with pytest.raises(InvalidParameterError, match="1e\\+200 has a cube that overflows"):
             d_homothetic_deform(make_round_sphere_model(1), 1e200)
+
+    @pytest.mark.parametrize("alpha", [1e150, 5.7e102])
+    def test_alpha_whose_cube_overflows_rejected(self, alpha):
+        # the lowered curvature carries alpha^3, although the square is finite
+        with pytest.raises(InvalidParameterError, match=re.escape(f"{alpha!r} has a cube that overflows")):
+            d_homothetic_deform(make_round_sphere_model(1), alpha)
+
+    @pytest.mark.parametrize("alpha", [1e-78, 1e-200, 5e-324])
+    def test_alpha_whose_fourth_inverse_power_overflows_rejected(self, alpha):
+        with pytest.raises(InvalidParameterError,
+                           match=re.escape(f"{alpha!r} has a fourth inverse power that overflows")):
+            d_homothetic_deform(make_round_sphere_model(1), alpha)
+
+    @pytest.mark.parametrize("alpha", [1e-12, 1e-13, 1e-17, 1e-77, 1e102])
+    @pytest.mark.parametrize("q", [1, 3])
+    def test_extreme_alpha_deforms_to_space_form(self, q, alpha):
+        # the diagonal adapted frame has no absolute floor, so a deformation far
+        # from unit scale still gives the space form of c = 4 / alpha - 3; the
+        # connection shift cancels its order-one terms to about eps / alpha^2,
+        # so the two agree relative to the size of the curvature only
+        deformed = d_homothetic_deform(make_round_sphere_model(q), alpha)
+        expected = make_space_form_model(q, 4.0 / alpha - 3.0)
+        for name in ("riemann", "ricci"):
+            found, reference = getattr(deformed, name), getattr(expected, name)
+            assert np.abs(found - reference).max() <= 1e-12 * np.abs(reference).max(), name
 
 
 class TestExactArithmetic:
