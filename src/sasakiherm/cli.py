@@ -37,7 +37,7 @@ from .einstein import (
     einstein_verdict,
     star_scalar_prediction,
 )
-from .errors import GeometryError, InvalidParameterError
+from .errors import GeometryError, InvalidParameterError, SingularMetricError
 from .product import (
     HermitianParams,
     build_product_model,
@@ -390,13 +390,13 @@ def _run_scan(args) -> tuple[list[CheckRecord], dict]:
         raise InvalidParameterError("b grid contains only the excluded value 0")
     factor, factor_prime = _build_factors(args)
     anchor, residuals = _SCAN_CHECKS[args.check]
-    # the cells before the first invalid one are decided first, so that
-    # the error raised is that of the first failing cell in grid order
+    # the cells before the first invalid or singular one are decided first,
+    # so that the error raised is that of the first failing cell in grid order
     cells, invalid = [], None
     try:
         for a, b in itertools.product(a_values, b_values):
             cells.append(HermitianParams(a=a, b=b))
-    except InvalidParameterError as exc:
+    except (InvalidParameterError, SingularMetricError) as exc:
         invalid = exc
     checks = [
         _check(f"{args.check}[a={_cell_text(params.a)},b={_cell_text(params.b)}]", anchor, value)

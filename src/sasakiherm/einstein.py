@@ -19,10 +19,11 @@ import numpy as np
 from .errors import ConsistencyError, InvalidParameterError
 from .product import (
     HermitianParams,
+    ParamStack,
     ProductHermitianModel,
     build_product_model,
     build_product_ricci,
-    certified_passes,
+    product_metric,
 )
 from .sasakian import (
     SasakianPointModel,
@@ -101,6 +102,17 @@ def required_eta_einstein_coefficients(p: int, q: int) -> tuple[float, float]:
     return space_form_ricci_coefficients(q, 4.0 * p / q - 3.0)
 
 
+# Cells per stacked pass of a grid; at N = 42 each stacked tensor of a
+# pass then takes 3.6 MB, however many cells the grid has.
+GRID_BLOCK = 256
+
+
+def _as_params(cells: Sequence[HermitianParams]) -> HermitianParams | ParamStack:
+    # one cell stays scalar: its tensors are the same to the bit, and scalar
+    # coefficients cost less than numpy arithmetic on a stack of one
+    return cells[0] if len(cells) == 1 else ParamStack.of(cells)
+
+
 def einstein_verdict(
     factor: SasakianPointModel,
     factor_prime: SasakianPointModel,
@@ -117,21 +129,25 @@ def einstein_verdict(
     ``params`` is one member of the family, or a grid: a sequence of
     members, which returns one verdict per member, in order.  One member
     is the grid of one cell.  The factor conditions are decided once per
-    grid; each pass of :func:`~sasakiherm.product.certified_passes` is
-    traced in one einsum.  The error raised is that of the first failing
-    cell in order; a singular or indefinite metric and a disagreement name
-    the cell's ``(a, b)``.
+    grid, and each pass of up to :data:`GRID_BLOCK` cells is traced in one
+    einsum; the metrics need no test, as each member certified its own
+    where it was made.  The error raised is that of the first failing cell
+    in order; a disagreement names the cell's ``(a, b)`` and distances.
     """
     single = isinstance(params, HermitianParams)
     cells = (params,) if single else tuple(params)
     p, q = factor.n, factor_prime.n
+    dim = factor.dim + factor_prime.dim
     g_coeff, eta_coeff = required_eta_einstein_coefficients(p, q)
     fits = (factor.ricci_deviation(2.0 * p, 0.0),
             factor_prime.ricci_deviation(g_coeff, eta_coeff))
     verdicts = []
-    for block, stack, g_bar in certified_passes(factor, factor_prime, cells):
+    for start in range(0, len(cells), GRID_BLOCK):
+        block = cells[start:start + GRID_BLOCK]
+        stack = _as_params(block)
+        g_bar = product_metric(factor, factor_prime, stack).reshape(-1, dim, dim)
         ricci_bar = build_product_ricci(factor, factor_prime, stack).reshape(g_bar.shape)
-        fitted = np.einsum("cij,cij->c", np.linalg.inv(g_bar), ricci_bar) / g_bar.shape[-1]
+        fitted = np.einsum("cij,cij->c", np.linalg.inv(g_bar), ricci_bar) / dim
         residuals = np.abs(ricci_bar - fitted[:, None, None] * g_bar).max(axis=(-2, -1)).tolist()
         for cell, ricci, lam, residual in zip(block, ricci_bar, fitted.tolist(), residuals):
             a, b = cell.a, cell.b

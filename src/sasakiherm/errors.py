@@ -6,15 +6,7 @@ class GeometryError(Exception):
 
 
 class MetricError(GeometryError):
-    """A metric argument is unusable for the requested operation.
-
-    ``index`` locates the offending metric in a stack of metrics, counted
-    over the flattened leading axes; it is 0 for a single metric.
-    """
-
-    def __init__(self, message: str, index: int = 0):
-        super().__init__(message)
-        self.index = index
+    """A metric argument is unusable for the requested operation."""
 
 
 class SingularMetricError(MetricError):

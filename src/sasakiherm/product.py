@@ -17,19 +17,19 @@ its Reeb vector at index ``2p``; the second factor occupies
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, MetricError
+from .errors import InvalidParameterError
 from .sasakian import SasakianPointModel, SasakianStructure
 from .tensors import (
     TOLERANCES,
     contract_trace,
     freeze_fields,
     integrability_residual,
-    require_spd,
+    spectrum_error,
     symmetrize,
 )
 
@@ -40,7 +40,15 @@ class HermitianParams:
 
     ``b = 0`` is rejected outright: the complex structure divides by
     ``b`` and the metric degenerates there.  So is a pair whose
-    ``a^2 + b^2``, an entry of the metric, overflows.
+    ``a^2 + b^2``, an entry of the metric, overflows.  On two factor
+    models the product metric has the spectrum ``1`` (``N - 2`` times),
+    ``lo`` and ``hi``: the eigenvalues of its Reeb-plane block
+    ``[[1, a], [a, a^2 + b^2]]``, with ``lo * hi = b^2`` and
+    ``lo + hi = 1 + a^2 + b^2`` (:func:`product_metric_spectrum`).  A
+    pair whose ``lo, hi`` fail the ratio rule of
+    :func:`~sasakiherm.tensors.spectrum_error` raises its
+    :class:`~sasakiherm.errors.SingularMetricError`, naming the pair: each
+    member's metric is certified once, where the member is made.
     """
 
     a: float
@@ -57,6 +65,23 @@ class HermitianParams:
         a, b = float(self.a), float(self.b)
         if not math.isfinite(a * a + b * b):
             raise InvalidParameterError(f"a^2 + b^2 overflows at a = {a!r}, b = {b!r}")
+        error = spectrum_error("product metric", *product_metric_spectrum(a, b))
+        if error is not None:
+            raise type(error)(f"{error} at a = {a!r}, b = {b!r}")
+
+
+def product_metric_spectrum(a: float, b: float) -> tuple[float, float]:
+    """``(lo, hi)``: the extreme eigenvalues of the product metric of two factor models.
+
+    They are those of the Reeb-plane block ``[[1, a], [a, a^2 + b^2]]``,
+    so ``lo <= 1 <= hi``; ``a^2 + b^2`` must be finite.
+    """
+    # the product of hypots is sqrt((1 + a^2 + b^2)^2 - 4 b^2) without
+    # cancellation, halved first so that it stays finite, and lo = b^2 / hi
+    # keeps the relative accuracy that lo = sum - hi would lose
+    half_root = 0.5 * math.hypot(a, 1.0 - abs(b)) * math.hypot(a, 1.0 + abs(b))
+    hi = 0.5 * (1.0 + a * a + b * b) + half_root
+    return b * b / hi, hi
 
 
 @dataclass(frozen=True)
@@ -120,7 +145,9 @@ def product_metric(
 
     Block form: ``g`` on the first factor, ``g' + (a^2 + b^2 - 1)
     eta' (x) eta'`` on the second, and ``a eta (x) eta'`` across.
-    Positive definite exactly when ``b != 0``.  The factor records may
+    Positive definite exactly when ``b != 0``; nothing is tested here, as
+    :class:`HermitianParams` certifies the spectrum on two factor models.
+    The factor records may
     be adapted-frame models or chart fields; leading axes broadcast, so
     a stack of chart points gives a stack of metrics, and so does a
     :class:`ParamStack` of cells.
@@ -136,46 +163,6 @@ def product_metric(
     g_bar[..., :m, m:] = mixed
     g_bar[..., m:, :m] = np.swapaxes(mixed, -1, -2)
     return g_bar
-
-
-# Cells certified per stacked pass of a grid; at N = 42 each stacked tensor
-# of a pass then takes 3.6 MB, however many cells the grid has.
-GRID_BLOCK = 256
-
-
-def certified_passes(
-    factor: SasakianPointModel,
-    factor_prime: SasakianPointModel,
-    cells: Sequence[HermitianParams],
-) -> Iterator[tuple[Sequence[HermitianParams], HermitianParams | ParamStack, np.ndarray]]:
-    """A grid of members in stacked passes of up to :data:`GRID_BLOCK` cells.
-
-    Each pass yields ``(cells, params, g_bar)``: its cells, their
-    parameters for the product formulas and their ``(cells, N, N)``
-    metrics, certified by one :func:`require_spd`.  At a singular or
-    indefinite metric the pass yields the cells before it, so that a
-    consumer's error there comes first, then raises naming its ``(a, b)``.
-    """
-    dim = factor.dim + factor_prime.dim
-    for start in range(0, len(cells), GRID_BLOCK):
-        block = cells[start:start + GRID_BLOCK]
-        g_bar = product_metric(factor, factor_prime, _as_params(block)).reshape(-1, dim, dim)
-        try:
-            require_spd(g_bar, name="product metric")
-            certified, error = len(block), None
-        except MetricError as exc:
-            certified, error = exc.index, exc
-        if certified:
-            yield block[:certified], _as_params(block[:certified]), g_bar[:certified]
-        if error is not None:
-            a, b = float(block[certified].a), float(block[certified].b)
-            raise type(error)(f"{error} at a = {a!r}, b = {b!r}") from None
-
-
-def _as_params(cells: Sequence[HermitianParams]) -> HermitianParams | ParamStack:
-    # one cell stays scalar: its tensors are the same to the bit, and scalar
-    # coefficients cost less than numpy arithmetic on a stack of one
-    return cells[0] if len(cells) == 1 else ParamStack.of(cells)
 
 
 def product_complex_structure(
@@ -206,10 +193,8 @@ def build_product_metric(
     factor_prime: SasakianPointModel,
     params: HermitianParams,
 ) -> np.ndarray:
-    """:func:`product_metric` of two factor models, certified positive definite."""
-    g_bar = product_metric(factor, factor_prime, params)
-    require_spd(g_bar, name="product metric")
-    return g_bar
+    """:func:`product_metric` of two factor models, positive definite as ``params`` certifies."""
+    return product_metric(factor, factor_prime, params)
 
 
 def build_nabla_j(
@@ -415,17 +400,16 @@ def integrability_residuals(
 ) -> list[float]:
     """Integrability residual of each cell of a grid, in order.
 
-    The metrics are certified by :func:`certified_passes`; each residual is
-    that of :func:`check_integrability` on the cell's product model, to the
-    bit, from the same ``J`` and ``nabla J``, built per cell.
+    Each residual is that of :func:`check_integrability` on the cell's
+    product model, to the bit, from the same ``J`` and ``nabla J``; no
+    metric is built, as each cell's was certified where it was made.
     """
     return [
         integrability_residual(
             build_nabla_j(factor, factor_prime, params),
             product_complex_structure(factor, factor_prime, params),
         )
-        for block, _, _ in certified_passes(factor, factor_prime, cells)
-        for params in block
+        for params in cells
     ]
 
 

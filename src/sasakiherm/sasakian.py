@@ -25,7 +25,7 @@ from functools import cache
 import numpy as np
 
 from .errors import InvalidParameterError
-from .tensors import contract_trace, curvature_symmetry_residuals, freeze_fields, symmetrize
+from .tensors import curvature_symmetry_residuals, freeze_fields, symmetrize
 
 
 @dataclass(frozen=True)
@@ -397,10 +397,11 @@ def sasakian_structure_residuals(model: SasakianPointModel) -> dict[str, float]:
     reeb_target = np.einsum("y,xw->xyw", eta, g) - np.einsum("x,yw->xyw", eta, g)
     out["reeb_curvature"] = float(np.abs(reeb - reeb_target).max())
     out["ricci_reeb"] = float(np.abs(ricci @ xi - 2.0 * model.n * eta).max())
-    ricci_from_riemann = contract_trace(riemann, g)
+    # the frame is orthonormal, so metric traces are plain traces
+    ricci_from_riemann = np.einsum("xiiw->xw", riemann)
     out["ricci_is_curvature_trace"] = float(np.abs(ricci - ricci_from_riemann).max())
     out.update(curvature_symmetry_residuals(riemann))
-    scalar_from_ricci = float(contract_trace(ricci, g))
-    scalar_from_riemann = float(contract_trace(ricci_from_riemann, g))
+    scalar_from_ricci = float(np.trace(ricci))
+    scalar_from_riemann = float(np.trace(ricci_from_riemann))
     out["scalar_curvature_trace_consistency"] = abs(scalar_from_ricci - scalar_from_riemann)
     return out

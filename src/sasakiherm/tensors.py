@@ -51,52 +51,39 @@ def require_spd(metric: np.ndarray, name: str = "metric") -> None:
     Distinguishes a numerically singular metric from an indefinite one
     so callers can report the right failure; a metric with a non-finite
     entry counts as singular, and so does one whose spectrum overflows.
-    Leading axes stack metrics, all certified by one ``eigvalsh``; the
-    error then describes the first failing metric in C order, and its
-    ``index`` locates that metric (see :class:`MetricError`).
+    The spectrum is judged by :func:`spectrum_error`.
     """
     m = np.asarray(metric, dtype=float)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise SingularMetricError(f"{name} must be square, got shape {m.shape}")
-    stack = m.reshape((-1,) + m.shape[-2:])
-    # each test runs on the metrics before the first failure found so far,
-    # so a later test's failure is the earlier metric, and a metric failing
-    # several tests reports the first of them
-    error = None
-    if not np.isfinite(stack).all():
-        index = int(np.argmin(np.isfinite(stack).all(axis=(-2, -1))))
-        error = SingularMetricError(f"{name} has non-finite entries", index)
-        stack = stack[:index]
+    if not np.isfinite(m).all():
+        raise SingularMetricError(f"{name} has non-finite entries")
     # the entries are finite here, so no NaN can slip past this comparison
-    asymmetry = np.abs(stack - stack.swapaxes(-1, -2)).max(axis=(-2, -1))
-    if asymmetry.max(initial=0.0) > 1e-10:  # no bound is below 1e-10
-        asymmetric = asymmetry > 1e-10 * np.maximum(1.0, np.abs(stack).max(axis=(-2, -1)))
-        if asymmetric.any():
-            index = int(np.argmax(asymmetric))
-            error = SingularMetricError(f"{name} is not symmetric", index)
-            stack = stack[:index]
-    # eigvalsh sorts each spectrum ascending
-    eigvals = np.linalg.eigvalsh(symmetrize(stack))
-    lo, hi = eigvals[:, 0], eigvals[:, -1]
-    degenerate = lo <= SINGULAR_RATIO * np.maximum(1.0, np.maximum(-lo, hi))
-    if degenerate.any():
-        index = int(np.argmax(degenerate))
-        error = _spectrum_error(name, eigvals[index], index)
+    if np.abs(m - m.T).max() > 1e-10 * max(1.0, np.abs(m).max()):
+        raise SingularMetricError(f"{name} is not symmetric")
+    # eigvalsh sorts the spectrum ascending
+    eigvals = np.linalg.eigvalsh(symmetrize(m))
+    error = spectrum_error(name, float(eigvals[0]), float(eigvals[-1]))
     if error is not None:
         raise error
 
 
-def _spectrum_error(name: str, eigvals: np.ndarray, index: int) -> MetricError:
-    """The error for a metric whose eigenvalue ratio fails :func:`require_spd`."""
-    lo = float(eigvals.min())
-    scale = max(1.0, float(np.abs(eigvals).max()))
-    spectrum = (f"eigenvalues {lo:g} to {eigvals.max():g}; "
+def spectrum_error(name: str, lo: float, hi: float) -> MetricError | None:
+    """The error for a symmetric ``name`` whose extreme eigenvalues are ``lo <= hi``.
+
+    ``None`` when the ratio rule above certifies it positive definite; a
+    NaN ``lo`` or an infinite ``hi`` never passes.
+    """
+    scale = max(1.0, -lo, hi)
+    if lo > SINGULAR_RATIO * scale:
+        return None
+    spectrum = (f"eigenvalues {lo:g} to {hi:g}; "
                 f"min over max(1, max |eigenvalue|) = {lo / scale:.3g}")
     if lo < -INDEFINITE_RATIO * scale:
         return IndefiniteMetricError(
-            f"{name} is indefinite ({spectrum}, below {-INDEFINITE_RATIO:g})", index
+            f"{name} is indefinite ({spectrum}, below {-INDEFINITE_RATIO:g})"
         )
-    return SingularMetricError(f"{name} is singular ({spectrum}, at most {SINGULAR_RATIO:g})", index)
+    return SingularMetricError(f"{name} is singular ({spectrum}, at most {SINGULAR_RATIO:g})")
 
 
 def contract_trace(tensor: np.ndarray, metric: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sasakiherm.product
@@ -303,6 +304,21 @@ class TestCommands:
         assert code == 0
         assert json.loads(out)["summary"]["pass"] == 20
 
+    @pytest.mark.parametrize("check", ["einstein", "integrability"])
+    def test_scan_runs_no_eigensolver(self, monkeypatch, capsys, check):
+        # each member's metric is certified in closed form where it is made
+        def refuse(*args):
+            raise AssertionError("a scan ran an eigensolver")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        code, out, _ = run_cli(
+            ["scan", "--p", "2", "--q", "1", "--a=-1:1:0.5", "--b", "0.5:2:0.5",
+             "--check", check, "--factor-prime", "space-form:5"],
+            capsys,
+        )
+        assert code == (1 if check == "einstein" else 0)
+        assert len(json.loads(out)["checks"]) == 20
+
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_verify_factor_deformed_off_unit_scale(self, capsys, p):
         # the deformed Reeb entry alpha^2 is formed as one product
@@ -451,7 +467,13 @@ class TestExitCodes:
             ("einstein", "--a", "nan", "must be finite, got nan"),
             ("verify-product", "--a", "nan", "must be finite, got nan"),
             ("verify-product", "--a", "1e200", "a^2 + b^2 overflows at a = 1e+200, b = 1.0"),
-            ("verify-product", "--a", "1e154", "product metric is singular"),
+            ("verify-product", "--a", "1e154",
+             "product metric is singular (eigenvalues 1e-308 to 1e+308; min over max(1, "
+             "max |eigenvalue|) = 0, at most 1e-13) at a = 1e+154, b = 1.0\n"),
+            ("einstein", "--b", "1e-7",
+             "product metric is singular (eigenvalues 1e-14 to 1; min over max(1, "
+             "max |eigenvalue|) = 1e-14, at most 1e-13) at a = 0.0, b = 1e-07\n"),
+            ("oracle-compare", "--a", "1e154", ") at a = 1e+154, b = 1.0\n"),
             ("oracle-compare", "--seed", "-1", "got --seed -1"),
             ("scan", "--a", "0:1:nan", "needs finite numbers"),
             ("scan", "--b", "x", "needs numbers"),
@@ -465,6 +487,16 @@ class TestExitCodes:
             assert code == 2
             assert out == ""
             assert err.startswith("error") and message in err
+
+    def test_singular_member_states_its_exact_spectrum(self, capsys):
+        code, out, err = run_cli(
+            ["verify-product", "--p", "1", "--q", "1", "--a", "1e3", "--b", "1e-3"], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: product metric is singular (eigenvalues 9.99999e-13 to 1e+06; "
+            "min over max(1, max |eigenvalue|) = 1e-18, at most 1e-13) at a = 1000.0, b = 0.001\n"
+        )
 
     def test_unknown_factor_is_usage_error(self, capsys):
         for command in ("verify-factor", "oracle-compare"):

@@ -7,7 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-import sasakiherm.product
+import sasakiherm.einstein
 from sasakiherm.cli import parse_grid
 from sasakiherm.einstein import (
     calabi_eckmann_einstein_example,
@@ -15,7 +15,7 @@ from sasakiherm.einstein import (
     required_eta_einstein_coefficients,
     star_scalar_prediction,
 )
-from sasakiherm.errors import ConsistencyError, GeometryError, SingularMetricError
+from sasakiherm.errors import ConsistencyError, GeometryError
 from sasakiherm.product import (
     HermitianParams,
     build_product_metric,
@@ -229,7 +229,7 @@ class TestGridVerdict:
     @pytest.mark.parametrize("block", [256, 5])
     @pytest.mark.parametrize("kind", sorted(GRID_FACTORS))
     def test_grid_equals_point_loop(self, monkeypatch, kind, block):
-        monkeypatch.setattr(sasakiherm.product, "GRID_BLOCK", block)
+        monkeypatch.setattr(sasakiherm.einstein, "GRID_BLOCK", block)
         factor, factor_prime = GRID_FACTORS[kind]()
         cells = [HermitianParams(a, b)
                  for a in (-0.5, 0.0, 0.3) for b in (0.7, 1.0, math.sqrt(2.0), -2.0)]
@@ -252,21 +252,20 @@ class TestGridVerdict:
 
     @pytest.mark.parametrize("block", [256, 2])
     @pytest.mark.parametrize(
-        "cells,error",
-        [
-            ([(0.0, 1.0), (0.0, LOCUS_B[0]), (0.0, 1e-7)], ConsistencyError),
-            ([(0.0, 1.0), (0.0, 1e-7), (0.0, LOCUS_B[0])], SingularMetricError),
-            ([(0.5, 1.0), (1e154, 1.0), (0.0, LOCUS_B[0])], SingularMetricError),
-        ],
-        ids=["disagreement-first", "tiny-b-first", "large-a-first"],
+        "b_values",
+        [(1.0, LOCUS_B[0], LOCUS_B[-1]), (1.0, LOCUS_B[-1], LOCUS_B[0])],
+        ids=["lower-edge-first", "upper-edge-first"],
     )
-    def test_first_failing_cell_raises(self, monkeypatch, cells, error, block):
-        monkeypatch.setattr(sasakiherm.product, "GRID_BLOCK", block)
+    def test_first_failing_cell_raises(self, monkeypatch, b_values, block):
+        # both edges of the locus disagree; a singular cell cannot be made
+        # at all (see test_product.test_b_zero_rejected)
+        monkeypatch.setattr(sasakiherm.einstein, "GRID_BLOCK", block)
         factor, factor_prime = GRID_FACTORS["deformed"]()
-        cells = [HermitianParams(a, b) for a, b in cells]
+        cells = [HermitianParams(0.0, b) for b in b_values]
         found = outcome(lambda: einstein_verdict(factor, factor_prime, cells))
         assert found == outcome(lambda: point_loop(factor, factor_prime, cells))
-        assert found[0] is error
+        assert found[0] is ConsistencyError
+        assert f"at a = 0.0, b = {b_values[1]!r};" in found[1]
 
     def test_errors_name_their_cell_and_distances(self):
         factor, factor_prime = GRID_FACTORS["deformed"]()
@@ -280,27 +279,16 @@ class TestGridVerdict:
         )
         assert "factor max |Ric - 2p g| = " in message
         assert "factor_prime max |Ric' - A g' - B eta' (x) eta'| = " in message
-        with pytest.raises(SingularMetricError) as excinfo:
-            einstein_verdict(factor, factor_prime, [HermitianParams(0.5, 1.0),
-                                                    HermitianParams(0.0, 1e-7)])
-        assert str(excinfo.value).startswith("product metric is singular (")
-        assert str(excinfo.value).endswith(") at a = 0.0, b = 1e-07")
 
-    def test_factor_conditions_and_certification_run_once_per_grid(self, monkeypatch):
-        deviations, certified = [], []
+    def test_factor_conditions_run_once_per_grid(self, monkeypatch):
+        deviations = []
         deviation = SasakianPointModel.ricci_deviation
         monkeypatch.setattr(
             SasakianPointModel, "ricci_deviation",
             lambda self, *args: deviations.append(self) or deviation(self, *args),
-        )
-        require_spd = sasakiherm.product.require_spd
-        monkeypatch.setattr(
-            sasakiherm.product, "require_spd",
-            lambda metric, **kwargs: certified.append(metric.shape) or require_spd(metric, **kwargs),
         )
         factor, factor_prime = GRID_FACTORS["space-form"]()
         cells = [HermitianParams(a, b) for a in (-1.0, 0.0, 1.0) for b in (0.5, 1.0, 1.5, 2.0)]
         einstein_verdict(factor, factor_prime, cells)
         assert len(deviations) == 2
         assert deviations[0] is factor and deviations[1] is factor_prime
-        assert certified == [(12, 8, 8)]

@@ -1,15 +1,14 @@
 """Product Hermitian structure: metric, complex structure, curvature, traces."""
 
+import itertools
 import math
-import re
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-import sasakiherm.product
 from conftest import GRID_FACTORS
-from sasakiherm.einstein import einstein_verdict
 from sasakiherm.errors import InvalidParameterError, MetricError, SingularMetricError
 from sasakiherm.product import (
     HermitianParams,
@@ -27,12 +26,15 @@ from sasakiherm.product import (
     integrability_residuals,
     product_complex_structure,
     product_metric,
+    product_metric_spectrum,
     scalar_curvatures,
 )
 from sasakiherm.sasakian import d_homothetic_deform, make_round_sphere_model, make_space_form_model
 from sasakiherm.tensors import (
     contract_trace,
     curvature_symmetry_residuals,
+    require_spd,
+    spectrum_error,
     star_ricci_from_curvature,
 )
 
@@ -58,10 +60,46 @@ def curvature_trace_case(first, p, q, a, b):
 def test_b_zero_rejected():
     with pytest.raises(InvalidParameterError):
         HermitianParams(a=0.3, b=0.0)
-    for a, b in ((1e200, 1.0), (0.0, -1e155), (1e154, 1e154)):
-        message = re.escape(f"overflows at a = {a!r}, b = {b!r}")
-        with pytest.raises(InvalidParameterError, match=message):
+    for a, b, error, prefix in (
+        (1e200, 1.0, InvalidParameterError, "a^2 + b^2 overflows"),
+        (0.0, -1e155, InvalidParameterError, "a^2 + b^2 overflows"),
+        (1e154, 1e154, InvalidParameterError, "a^2 + b^2 overflows"),
+        # a singular member is refused where it is made, before any grid sees it
+        (0.0, 1e-7, SingularMetricError, "product metric is singular (eigenvalues 1e-14 to 1; "),
+        (1e154, 1.0, SingularMetricError, "product metric is singular (eigenvalues 1e-308 to "),
+    ):
+        with pytest.raises(error) as excinfo:
             HermitianParams(a=a, b=b)
+        assert str(excinfo.value).startswith(prefix)
+        assert str(excinfo.value).endswith(f" at a = {a!r}, b = {b!r}")
+
+
+# b = 3.2e-7 puts lo just above the singular ratio 1e-13 at a = 0, and 3.1e-7 just below
+SPECTRUM_A = (0.0, 0.5, -2.0, 1e3, 1e6)
+SPECTRUM_B = (1.0, -0.7, 3.2e-7, 3.1e-7, 1e-7, 1e-3)
+
+
+def raised(make):
+    """The type of the metric error ``make()`` raises, or ``type(None)``."""
+    try:
+        make()
+    except MetricError as exc:
+        return type(exc)
+    return type(None)
+
+
+def test_closed_form_certification_matches_the_eigensolver():
+    factor, factor_prime = spheres(2, 1)
+    for a, b in itertools.product(SPECTRUM_A, SPECTRUM_B):
+        lo, hi = product_metric_spectrum(a, b)
+        closed = type(spectrum_error("product metric", lo, hi))
+        # a stand-in for the pair, which HermitianParams refuses when singular
+        metric = product_metric(factor, factor_prime, SimpleNamespace(a=a, b=b))
+        assert raised(lambda: require_spd(metric)) is closed, (a, b)
+        assert raised(lambda: HermitianParams(a, b)) is closed, (a, b)
+        eigvals = np.linalg.eigvalsh(metric)
+        if lo > 1e-3 * hi:  # well conditioned: the eigensolver resolves lo
+            npt.assert_allclose([lo, hi], [eigvals[0], eigvals[-1]], rtol=1e-12, atol=0)
 
 
 class TestProductMetric:
@@ -191,12 +229,10 @@ class TestIntegrability:
 
 
 class TestIntegrabilityGrid:
-    """A grid's integrability residuals, decided in the certified passes."""
+    """A grid's integrability residuals, one cell at a time."""
 
-    @pytest.mark.parametrize("block", [256, 5])
     @pytest.mark.parametrize("kind", sorted(GRID_FACTORS))
-    def test_grid_equals_model_loop(self, monkeypatch, kind, block):
-        monkeypatch.setattr(sasakiherm.product, "GRID_BLOCK", block)
+    def test_grid_equals_model_loop(self, kind):
         factor, factor_prime = GRID_FACTORS[kind]()
         cells = [HermitianParams(a, b)
                  for a in (-0.5, 0.0, 0.3) for b in (0.7, 1.0, math.sqrt(2.0), -2.0)]
@@ -208,27 +244,6 @@ class TestIntegrabilityGrid:
 
     def test_empty_grid(self):
         assert integrability_residuals(*GRID_FACTORS["deformed"](), []) == []
-
-    @pytest.mark.parametrize(
-        "cells,failing",
-        [
-            ([(0.5, 1.0), (0.0, 1.0), (0.0, 1e-7), (1e154, 1.0)], "a = 0.0, b = 1e-07"),
-            ([(0.5, 1.0), (0.0, 1.0), (0.3, 1.0), (1e154, 1.0)], "a = 1e+154, b = 1.0"),
-        ],
-        ids=["tiny-b-first", "large-a-first"],
-    )
-    def test_first_failing_cell_in_a_later_pass_raises(self, monkeypatch, cells, failing):
-        monkeypatch.setattr(sasakiherm.product, "GRID_BLOCK", 2)
-        factor, factor_prime = GRID_FACTORS["deformed"]()
-        cells = [HermitianParams(a, b) for a, b in cells]
-        with pytest.raises(SingularMetricError) as excinfo:
-            integrability_residuals(factor, factor_prime, cells)
-        assert str(excinfo.value).startswith("product metric is singular (")
-        assert str(excinfo.value).endswith(f") at {failing}")
-        # the Einstein scan meets the same cell through the same pass
-        with pytest.raises(MetricError) as einstein_info:
-            einstein_verdict(factor, factor_prime, cells)
-        assert str(einstein_info.value) == str(excinfo.value)
 
 
 class TestNotKahler:

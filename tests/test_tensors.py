@@ -1,7 +1,5 @@
 """Pointwise tensor algebra: traces, frames, frame changes, symmetry checks."""
 
-import itertools
-
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -133,32 +131,6 @@ class TestRequireSpd:
         with pytest.raises(error) as excinfo:
             require_spd(np.array(metric))
         assert str(excinfo.value) == message
-
-    FAILING = {
-        "non-finite": [[1.0, 0.0], [0.0, np.inf]],
-        "asymmetric": [[1.0, 0.0], [2e-10, 1.0]],
-        "singular": [[4e15, 0.0], [0.0, 2.5]],
-        "indefinite": [[2.0, 0.0], [0.0, -1.0]],
-    }
-
-    @pytest.mark.parametrize("order", list(itertools.permutations(FAILING)),
-                             ids=lambda order: "-".join(order))
-    def test_stack_reports_its_first_failing_metric(self, order):
-        # each failing metric follows a good one; the stack raises what the
-        # first of them raises alone, with its position among the leading axes
-        good = [[2.0, 0.5], [0.5, 1.0]]
-        stack = np.array([[good, self.FAILING[order[0]]], [good, self.FAILING[order[1]]],
-                          [self.FAILING[order[2]], self.FAILING[order[3]]]])
-        with pytest.raises(MetricError) as alone:
-            require_spd(np.array(self.FAILING[order[0]]), name="g")
-        with pytest.raises(MetricError) as stacked:
-            require_spd(stack, name="g")
-        assert type(stacked.value) is type(alone.value)
-        assert str(stacked.value) == str(alone.value)
-        assert (alone.value.index, stacked.value.index) == (0, 1)
-
-    def test_stack_of_positive_definite_metrics_passes(self, rng):
-        require_spd(np.array([random_spd(rng, 5) for _ in range(7)]).reshape(7, 1, 5, 5))
 
     def test_symmetrize_stays_finite_near_overflow(self):
         form = np.array([[1.0, 1e308], [1.7e308, 1e308]])
