@@ -88,18 +88,18 @@ def raised(make):
     return type(None)
 
 
-def test_closed_form_certification_matches_the_eigensolver():
+@pytest.mark.parametrize("a,b", list(itertools.product(SPECTRUM_A, SPECTRUM_B)))
+def test_closed_form_certification_matches_the_eigensolver(a, b):
     factor, factor_prime = spheres(2, 1)
-    for a, b in itertools.product(SPECTRUM_A, SPECTRUM_B):
-        lo, hi = product_metric_spectrum(a, b)
-        closed = type(spectrum_error("product metric", lo, hi))
-        # a stand-in for the pair, which HermitianParams refuses when singular
-        metric = product_metric(factor, factor_prime, SimpleNamespace(a=a, b=b))
-        assert raised(lambda: require_spd(metric)) is closed, (a, b)
-        assert raised(lambda: HermitianParams(a, b)) is closed, (a, b)
-        eigvals = np.linalg.eigvalsh(metric)
-        if lo > 1e-3 * hi:  # well conditioned: the eigensolver resolves lo
-            npt.assert_allclose([lo, hi], [eigvals[0], eigvals[-1]], rtol=1e-12, atol=0)
+    lo, hi = product_metric_spectrum(a, b)
+    closed = type(spectrum_error("product metric", lo, hi))
+    # a stand-in for the pair, which HermitianParams refuses when singular
+    metric = product_metric(factor, factor_prime, SimpleNamespace(a=a, b=b))
+    assert raised(lambda: require_spd(metric)) is closed
+    assert raised(lambda: HermitianParams(a, b)) is closed
+    eigvals = np.linalg.eigvalsh(metric)
+    if lo > 1e-3 * hi:  # well conditioned: the eigensolver resolves lo
+        npt.assert_allclose([lo, hi], [eigvals[0], eigvals[-1]], rtol=1e-12, atol=0)
 
 
 class TestProductMetric:
