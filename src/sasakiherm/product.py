@@ -26,7 +26,6 @@ from .errors import InvalidParameterError
 from .sasakian import SasakianPointModel, SasakianStructure
 from .tensors import (
     TOLERANCES,
-    contract_trace,
     freeze_fields,
     integrability_residual,
     spectrum_error,
@@ -143,8 +142,9 @@ def product_metric(
 ) -> np.ndarray:
     """Product metric: factor metrics glued along the Reeb directions.
 
-    Block form: ``g`` on the first factor, ``g' + (a^2 + b^2 - 1)
-    eta' (x) eta'`` on the second, and ``a eta (x) eta'`` across.
+    Block form: ``g`` on the first factor, ``(g' - eta' (x) eta') +
+    (a^2 + b^2) eta' (x) eta'`` on the second, and ``a eta (x) eta'``
+    across; on factor models the second Reeb entry is ``a^2 + b^2`` exactly.
     Positive definite exactly when ``b != 0``; nothing is tested here, as
     :class:`HermitianParams` certifies the spectrum on two factor models.
     The factor records may
@@ -159,10 +159,30 @@ def product_metric(
     mixed = a * (s.eta[..., :, None] * s_prime.eta[..., None, :])
     g_bar = np.zeros(mixed.shape[:-2] + (dim, dim))
     g_bar[..., :m, :m] = s.metric
-    g_bar[..., m:, m:] = s_prime.metric + (a * a + b * b - 1.0) * s_prime.eta_eta
+    g_bar[..., m:, m:] = s_prime.transverse + (a * a + b * b) * s_prime.eta_eta
     g_bar[..., :m, m:] = mixed
     g_bar[..., m:, :m] = np.swapaxes(mixed, -1, -2)
     return g_bar
+
+
+def product_metric_inverse(
+    factor: SasakianPointModel,
+    factor_prime: SasakianPointModel,
+    params: HermitianParams,
+) -> np.ndarray:
+    """Closed-form inverse of the product metric of two factor models.
+
+    The identity off the Reeb plane, and ``[[a^2 + b^2, -a], [-a, 1]] / b^2``
+    on the two Reeb directions.
+    """
+    a, b = params.a, params.b
+    b2 = b * b
+    reeb, reeb_prime = factor.dim - 1, factor.dim + factor_prime.dim - 1
+    g_inv = np.eye(reeb_prime + 1)
+    g_inv[reeb, reeb] = (a * a + b2) / b2
+    g_inv[reeb, reeb_prime] = g_inv[reeb_prime, reeb] = -a / b2
+    g_inv[reeb_prime, reeb_prime] = 1.0 / b2
+    return g_inv
 
 
 def product_complex_structure(
@@ -358,7 +378,7 @@ def build_product_model(
     """Assemble every closed-form tensor of the product structure.
 
     Scalar curvatures are the metric traces of the Ricci and
-    star-Ricci forms.
+    star-Ricci forms, taken with :func:`product_metric_inverse`.
     """
     g_bar = build_product_metric(factor, factor_prime, params)
     j_bar = product_complex_structure(factor, factor_prime, params)
@@ -366,8 +386,9 @@ def build_product_model(
     riemann_bar = build_product_curvature(factor, factor_prime, params)
     ricci_bar = build_product_ricci(factor, factor_prime, params)
     ricci_star_bar = build_product_ricci_star(factor, factor_prime, params)
-    tau_bar = float(contract_trace(ricci_bar, g_bar))
-    tau_star_bar = float(contract_trace(ricci_star_bar, g_bar))
+    g_inv = product_metric_inverse(factor, factor_prime, params)
+    tau_bar = float(np.einsum("ij,ij->", g_inv, ricci_bar))
+    tau_star_bar = float(np.einsum("ij,ij->", g_inv, ricci_star_bar))
     return ProductHermitianModel(
         factor=factor,
         factor_prime=factor_prime,

@@ -78,6 +78,16 @@ def standard_frame(n: int) -> SasakianStructure:
     return frame
 
 
+@cache
+def _standard_pairings(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(eta_eta, gphi, transverse)`` of :func:`standard_frame`, built once per ``n``, read-only."""
+    frame = standard_frame(n)
+    pairings = (frame.eta_eta, frame.gphi, frame.transverse)
+    for pairing in pairings:
+        pairing.setflags(write=False)
+    return pairings
+
+
 @dataclass(frozen=True)
 class SasakianPointModel(SasakianStructure):
     """Pointwise curvature of a Sasakian structure in its standard frame.
@@ -86,7 +96,8 @@ class SasakianPointModel(SasakianStructure):
     ``riemann`` is fully covariant with index order (X, Y, Z, W) and
     ``ricci`` is its metric trace over the middle slots.  The structure
     tensors are not arguments: they are the shared arrays of
-    :func:`standard_frame`, so a raised index equals the lowered one.
+    :func:`standard_frame`, so a raised index equals the lowered one, and
+    so are their pairings ``eta_eta``, ``gphi`` and ``transverse``.
     """
 
     metric: np.ndarray = field(init=False)
@@ -109,6 +120,20 @@ class SasakianPointModel(SasakianStructure):
     @property
     def dim(self) -> int:
         return 2 * self.n + 1
+
+    # the pairings depend on the frame alone, so a model reads the shared ones
+    # of its n instead of rebuilding them on every access
+    @property
+    def eta_eta(self) -> np.ndarray:
+        return _standard_pairings(self.n)[0]
+
+    @property
+    def gphi(self) -> np.ndarray:
+        return _standard_pairings(self.n)[1]
+
+    @property
+    def transverse(self) -> np.ndarray:
+        return _standard_pairings(self.n)[2]
 
     def ricci_deviation(self, g_coeff: float, eta_coeff: float) -> float:
         """``max |ricci - g_coeff g - eta_coeff eta (x) eta|``."""

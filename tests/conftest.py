@@ -40,6 +40,12 @@ def bianchi_residual(t):
     )
 
 
+def integrability_by_definition(nabla_j, j_bar):
+    """The integrability residual as one unordered einsum, its defining formula."""
+    twisted = np.einsum("ux,vy,uvz->xyz", j_bar, j_bar, nabla_j)
+    return float(np.abs(nabla_j - twisted).max())
+
+
 def off_space_form_model(q):
     """A Sasakian point model that is not a space form.
 

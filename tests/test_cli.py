@@ -291,6 +291,17 @@ class TestCommands:
                     for a, b in cells]
         assert [c["residual"] for c in json.loads(out)["checks"]] == expected
 
+    def test_integrability_scan_at_the_dimension_ceiling(self, capsys):
+        code, out, _ = run_cli(
+            ["scan", "--p", "10", "--q", "10", "--a=-1:0.5:0.25", "--b", "0.5:2:0.5",
+             "--check", "integrability"],
+            capsys,
+        )
+        assert code == 0
+        residuals = [check["residual"] for check in json.loads(out)["checks"]]
+        assert len(residuals) == 28
+        assert max(residuals) <= 1e-12
+
     def test_integrability_scan_builds_no_model(self, monkeypatch, capsys):
         def refuse(*args):
             raise AssertionError("a scan cell built the product curvature")

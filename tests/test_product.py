@@ -8,7 +8,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import GRID_FACTORS
+from conftest import GRID_FACTORS, integrability_by_definition
 from sasakiherm.errors import InvalidParameterError, MetricError, SingularMetricError
 from sasakiherm.product import (
     HermitianParams,
@@ -26,6 +26,7 @@ from sasakiherm.product import (
     integrability_residuals,
     product_complex_structure,
     product_metric,
+    product_metric_inverse,
     product_metric_spectrum,
     scalar_curvatures,
 )
@@ -119,6 +120,23 @@ class TestProductMetric:
         factor, factor_prime = spheres(1, 1)
         g_bar = build_product_metric(factor, factor_prime, HermitianParams(1.0, 2.0))
         assert g_bar[5, 5] == pytest.approx(5.0, abs=0)
+
+    @pytest.mark.parametrize(
+        "a,b", [(0.0, 1e-6), (0.0, 3.2e-7), (0.0, 1e-3), (0.5, 1e-6), (0.5, 1e-3), (-3.0, 1e-3)]
+    )
+    def test_second_reeb_entry_is_exact(self, a, b):
+        # formed as a^2 + b^2, not as 1 + (a^2 + b^2 - 1), which loses b^2 next to 1
+        g_bar = build_product_metric(*spheres(1, 2), HermitianParams(a, b))
+        assert g_bar[-1, -1] == a * a + b * b
+
+    @pytest.mark.parametrize("a,b", PARAM_GRID + [(0.0, 1e-6)])
+    def test_closed_form_inverse(self, a, b):
+        factor, factor_prime = spheres(2, 1)
+        params = HermitianParams(a, b)
+        g_bar = build_product_metric(factor, factor_prime, params)
+        g_inv = product_metric_inverse(factor, factor_prime, params)
+        npt.assert_allclose(g_inv, np.linalg.inv(g_bar), rtol=1e-9, atol=1e-9 * np.abs(g_inv).max())
+        npt.assert_allclose(g_inv @ g_bar, np.eye(8), rtol=0, atol=1e-15 * np.abs(g_inv).max())
 
     @pytest.mark.parametrize("a,b", PARAM_GRID)
     def test_positive_definite(self, a, b):
@@ -218,6 +236,18 @@ class TestIntegrability:
         factor, factor_prime = spheres(2, 1)
         model = build_product_model(factor, factor_prime, HermitianParams(0.7, 1.3))
         assert check_integrability(model) <= 1e-12
+
+    @pytest.mark.parametrize("p,q", [(1, 1), (2, 2), (5, 5), (10, 10)])
+    @pytest.mark.parametrize("a,b", [(0.7, 1.3), (-1.0, 0.5)])
+    def test_matches_the_definition_on_models(self, p, q, a, b):
+        factor, factor_prime = make_round_sphere_model(p), make_space_form_model(q, 5.0)
+        params = HermitianParams(a, b)
+        nabla_j = build_nabla_j(factor, factor_prime, params)
+        j_bar = product_complex_structure(factor, factor_prime, params)
+        assert integrability_residual(nabla_j, j_bar) == pytest.approx(
+            integrability_by_definition(nabla_j, j_bar), rel=0,
+            abs=1e-14 * np.abs(nabla_j).max(),
+        )
 
     def test_corrupted_structure_detected(self):
         factor, factor_prime = spheres(1, 1)
@@ -379,6 +409,17 @@ class TestScalarCurvatures:
         model = build_product_model(*spheres(2, 1), HermitianParams(0.6, 1.1))
         expected = float(np.einsum("ij,ij->", np.linalg.inv(model.g_bar), model.ricci_bar))
         assert model.tau_bar == pytest.approx(expected, abs=1e-11)
+
+    @pytest.mark.parametrize("a,b", PARAM_GRID)
+    def test_both_traces_match_the_generic_trace(self, a, b):
+        model = build_product_model(
+            make_round_sphere_model(2), make_space_form_model(1, 5.0), HermitianParams(a, b)
+        )
+        assert model.tau_bar == pytest.approx(contract_trace(model.ricci_bar, model.g_bar),
+                                              rel=1e-13, abs=1e-12)
+        assert model.tau_star_bar == pytest.approx(
+            contract_trace(model.ricci_star_bar, model.g_bar), rel=1e-13, abs=1e-12
+        )
 
 
 class TestWeaklyStarEinstein:

@@ -121,6 +121,18 @@ class TestStandardFrame:
                 assert array is getattr(frame, name), name
                 assert not array.flags.writeable, name
 
+    @pytest.mark.parametrize("q", [1, 3])
+    def test_models_share_the_pairings_of_their_frame(self, q):
+        frame = standard_frame(q)
+        first, second = make_round_sphere_model(q), off_space_form_model(q)
+        for name in ("eta_eta", "gphi", "transverse"):
+            pairing = getattr(first, name)
+            assert pairing is getattr(first, name) is getattr(second, name), name
+            assert not pairing.flags.writeable, name
+            # the structure record's property builds the same values afresh
+            assert np.array_equal(pairing, getattr(frame, name)), name
+            assert getattr(frame, name) is not getattr(frame, name), name
+
     def test_arrays_cannot_be_written(self):
         model = make_round_sphere_model(1)
         with pytest.raises(ValueError, match="read-only"):

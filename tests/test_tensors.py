@@ -1,5 +1,7 @@
 """Pointwise tensor algebra: traces, frames, frame changes, symmetry checks."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -12,6 +14,7 @@ from sasakiherm.tensors import (
     change_frame,
     contract_trace,
     curvature_symmetry_residuals,
+    integrability_residual,
     orthonormal_frame,
     require_spd,
     sectional_curvature,
@@ -19,7 +22,12 @@ from sasakiherm.tensors import (
     symmetrize,
 )
 
-from conftest import bianchi_residual, random_curvature_like, random_spd
+from conftest import (
+    bianchi_residual,
+    integrability_by_definition,
+    random_curvature_like,
+    random_spd,
+)
 
 
 def trace_by_frame_summation(tensor, metric, slots):
@@ -239,6 +247,54 @@ class TestCurvatureChecks:
         t[0, 1, 2, 1] += 0.3
         res = curvature_symmetry_residuals(t)
         assert max(res.values()) >= 0.3 - 1e-12
+
+
+def symmetry_residuals_with_temporaries(t):
+    """The four residuals as written before the scratch tensor: one temporary per sum."""
+    return {
+        "first_pair_antisymmetry": float(np.abs(t + np.einsum("yxzw->xyzw", t)).max()),
+        "second_pair_antisymmetry": float(np.abs(t + np.einsum("xywz->xyzw", t)).max()),
+        "pair_symmetry": float(np.abs(t - np.einsum("zwxy->xyzw", t)).max()),
+        "first_bianchi": float(
+            np.abs(t + np.einsum("yzxw->xyzw", t) + np.einsum("zxyw->xyzw", t)).max()
+        ),
+    }
+
+
+class TestCurvatureSymmetryScratch:
+    @pytest.mark.parametrize("n", [3, 6, 11])
+    def test_bit_identical_to_the_reference(self, rng, n):
+        for t in (rng.normal(size=(n,) * 4), random_curvature_like(rng, n)):
+            assert curvature_symmetry_residuals(t) == symmetry_residuals_with_temporaries(t)
+
+    def test_peak_is_one_scratch_tensor(self, rng):
+        t = rng.normal(size=(22,) * 4)
+        tracemalloc.start()
+        try:
+            curvature_symmetry_residuals(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * t.nbytes
+
+
+def random_complex_structure(rng, n):
+    """An orthogonal ``J`` with ``J^2 = -I``: the standard rotation in a random orthonormal basis."""
+    basis, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    rotation = np.zeros((n, n))
+    k = np.arange(n // 2)
+    rotation[2 * k + 1, 2 * k] = 1.0
+    rotation[2 * k, 2 * k + 1] = -1.0
+    return basis @ rotation @ basis.T
+
+
+@pytest.mark.parametrize("n", [6, 10, 22, 42])
+def test_integrability_residual_matches_the_definition(rng, n):
+    j = random_complex_structure(rng, n)
+    nabla_j = rng.normal(size=(n, n, n))
+    assert integrability_residual(nabla_j, j) == pytest.approx(
+        integrability_by_definition(nabla_j, j), rel=0, abs=1e-14 * np.abs(nabla_j).max()
+    )
 
 
 class TestStarRicci:
