@@ -88,18 +88,34 @@ _PURE = (
 )
 
 
-def _richardson(f: Callable, u: np.ndarray, axes: list, stencil: tuple, h: float) -> np.ndarray:
-    """One stencil at ``h/2`` and ``h``, Richardson-extrapolated one order higher.
+# The rows of the pure stencil's points at the ``_FIRST`` offsets, in
+# ``_FIRST``'s order: offset ``k`` is row ``4 - k`` at ``h/2`` and row
+# ``13 - k`` at ``h``, so one axis's 18 points hold its 8 first-order ones.
+_FIRST_ROWS = np.concatenate([4.0 - _OFFSETS, 13.0 - _OFFSETS]).astype(int)
 
-    The offsets of both steps are the rows of one stack, so ``f`` is
-    called once; the extrapolation is folded into the weights, which one
-    contraction applies.
-    """
-    offsets, weights, order = stencil
+
+def _stencil_points(u: np.ndarray, axes: list, stencil: tuple, h: float) -> np.ndarray:
+    """The offsets of a stencil at ``h/2``, then at ``h``, as one stack of points."""
+    offsets = stencil[0]
     points = np.repeat(u[None, :], 2 * len(offsets), axis=0)
     points[:, axes] += np.concatenate([offsets * (h / 2.0), offsets * h])
+    return points
+
+
+def _contract(stencil: tuple, h: float, values) -> np.ndarray:
+    """A field's values on a stencil's points, Richardson-extrapolated one order higher.
+
+    The extrapolation is folded into the weights, which one contraction
+    applies.
+    """
+    _, weights, order = stencil
     coef = np.concatenate([16.0 * weights / (6.0 * h) ** order, -weights / (12.0 * h) ** order])
-    return np.tensordot(coef / 15.0, np.asarray(f(points), dtype=float), axes=1)
+    return np.tensordot(coef / 15.0, np.asarray(values, dtype=float), axes=1)
+
+
+def _richardson(f: Callable, u: np.ndarray, axes: list, stencil: tuple, h: float) -> np.ndarray:
+    """One stencil at ``h/2`` and ``h`` in one call of ``f``, Richardson-extrapolated."""
+    return _contract(stencil, h, f(_stencil_points(u, axes, stencil, h)))
 
 
 def partial_derivatives(f: Callable, u: np.ndarray, cfg: StencilConfig) -> np.ndarray:
@@ -114,6 +130,38 @@ def partial_derivatives(f: Callable, u: np.ndarray, cfg: StencilConfig) -> np.nd
     return np.stack([_richardson(f, u, [i], _FIRST, cfg.step) for i in range(u.size)])
 
 
+def _two_jet(
+    f: Callable, u: np.ndarray, cfg: StencilConfig, axis_field: Callable | None = None
+) -> tuple[np.ndarray, np.ndarray, list]:
+    """First and second partials of a field, one call per axis and one per pair.
+
+    Along ``u_i`` the field is evaluated once, on the 18 points of the pure
+    second-order stencil (``_PURE`` at ``h/2`` and ``h``).  All 18 give
+    ``d_i d_i f``; the 8 of them at the ``_FIRST`` offsets, in ``_FIRST``'s
+    order, give ``d_i f``, bit for bit as :func:`partial_derivatives` does.
+    Each pair ``i < j`` is one 32-point call.
+
+    ``axis_field(i, points)``, if given, is called on the points of axis
+    ``i`` in place of ``f``: it returns ``f``'s values first, then any
+    further stacks of values.  The third result holds the first partials
+    of those further stacks, one sequence per stack, indexed by axis.
+    """
+    u = np.asarray(u, dtype=float)
+    n, h = u.size, cfg.step
+    axis_field = axis_field or (lambda i, points: (f(points),))
+    first: list[list] = []
+    second: list[list] = [[None] * n for _ in range(n)]
+    for i in range(n):
+        stacks = axis_field(i, _stencil_points(u, [i], _PURE, h))
+        values = [np.asarray(v, dtype=float) for v in stacks]
+        first.append([_contract(_FIRST, h, v[_FIRST_ROWS]) for v in values])
+        second[i][i] = _contract(_PURE, h, values[0])
+        for j in range(i + 1, n):
+            second[i][j] = second[j][i] = _richardson(f, u, [i, j], _MIXED, h)
+    firsts = list(zip(*first))
+    return np.stack(firsts[0]), np.array(second), firsts[1:]
+
+
 def second_partial_derivatives(f: Callable, u: np.ndarray, cfg: StencilConfig) -> np.ndarray:
     """All second partials of a field that maps ``(..., n)`` points to ``(..., *shape)``.
 
@@ -123,14 +171,7 @@ def second_partial_derivatives(f: Callable, u: np.ndarray, cfg: StencilConfig) -
     Each unordered pair ``i <= j`` is one call: 32 offsets, or 18 for
     ``i == j``, where coinciding offsets are evaluated once.
     """
-    u = np.asarray(u, dtype=float)
-    n = u.size
-    out: list[list] = [[None] * n for _ in range(n)]
-    for i in range(n):
-        out[i][i] = _richardson(f, u, [i], _PURE, cfg.step)
-        for j in range(i + 1, n):
-            out[i][j] = out[j][i] = _richardson(f, u, [i, j], _MIXED, cfg.step)
-    return np.array(out)
+    return _two_jet(f, u, cfg)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -306,11 +347,8 @@ def riemann_fd(metric_field: Callable, u: np.ndarray, cfg: StencilConfig) -> np.
     plus one.
     """
     u = np.asarray(u, dtype=float)
-    return _riemann_from_jet(
-        np.asarray(metric_field(u), dtype=float),
-        partial_derivatives(metric_field, u, cfg),
-        second_partial_derivatives(metric_field, u, cfg),
-    )[0]
+    dg, ddg, _ = _two_jet(metric_field, u, cfg)
+    return _riemann_from_jet(np.asarray(metric_field(u), dtype=float), dg, ddg)[0]
 
 
 def nijenhuis_fd(j_field: Callable, u: np.ndarray, cfg: StencilConfig) -> np.ndarray:
@@ -413,27 +451,24 @@ def _product_adapted_frame(f1: SasakianStructure, f2: SasakianStructure) -> np.n
 
 
 def _connection_block_prediction(
-    fields1: Callable,
-    fields2: Callable,
     f1: SasakianStructure,
     f2: SasakianStructure,
     params: HermitianParams,
-    coords: np.ndarray,
-    cfg: StencilConfig,
+    gamma1: np.ndarray,
+    gamma2: np.ndarray,
 ) -> np.ndarray:
     """First-kind product symbols predicted from factor data alone.
 
     Every block of ``g_bar(nabla_X Y, Z)`` for coordinate fields drawn
     from the factors reduces to factor Christoffel symbols, Reeb
     covectors, and ``g(phi ., .)`` pairings; this assembles that
-    prediction so the stencil symbols of the product metric can be
-    checked against it.
+    prediction from the factor fields ``f1``, ``f2`` at the point and the
+    first-kind symbols ``gamma1``, ``gamma2`` of each factor metric there,
+    so the stencil symbols of the product metric can be checked against it.
     """
     a, b = params.a, params.b
     m = f1.metric.shape[0]
     dim = m + f2.metric.shape[0]
-    gamma1 = christoffels_first_kind_fd(lambda v: fields1(v).metric, coords[:m], cfg)
-    gamma2 = christoffels_first_kind_fd(lambda v: fields2(v).metric, coords[m:], cfg)
     # eta(nabla_X Y) = xi^k Gamma_{ij,k}
     reeb_of_nabla1 = np.einsum("ijk,k->ij", gamma1, f1.xi)
     reeb_of_nabla2 = np.einsum("ijk,k->ij", gamma2, f2.xi)
@@ -472,27 +507,43 @@ def compare_with_algebraic(
     at the chart point, where homogeneity makes them directly
     comparable entry-by-entry with the closed-form tensors.  Connection
     blocks, the integrability residual and the Nijenhuis tensor are
-    checked in coordinates; the last two share one stencil of ``J_bar``
-    with ``nabla J``.  Each stencil evaluates the factor fields on the
-    stack of its offsets, one call per factor.
+    checked in coordinates; the last two share the first partials of
+    ``J_bar`` with ``nabla J``.
+
+    Each stencil point is evaluated once, one call per factor on the
+    stack of points.  Along each axis the 18 points of the pure
+    second-order stencil give ``g_bar`` and ``J_bar`` from one evaluation
+    of the factor fields: the second partial of ``g_bar``, the first
+    partials of both (from 8 of those points), and the first partial of
+    the moving factor's metric, whose Christoffel symbols the connection
+    prediction takes.  Each pair of axes is one 32-point stencil of
+    ``g_bar``.  At ``N = 6`` that is 44 factor-field calls.
     """
     coords = np.asarray(coords, dtype=float)
     m = factor_chart.dim
-    metric_fn, j_fn = product_field_functions(factor_chart, factor_chart_prime, params)
+    metric_fn, _ = product_field_functions(factor_chart, factor_chart_prime, params)
     fields1, fields2 = factor_chart.fields, factor_chart_prime.fields
     f1 = fields1(coords[:m])
     f2 = fields2(coords[m:])
     g_bar = product_metric(f1, f2, params)
     j_bar = product_complex_structure(f1, f2, params)
 
-    dg = partial_derivatives(metric_fn, coords, cfg)
-    r4, gamma_first, gamma = _riemann_from_jet(
-        g_bar, dg, second_partial_derivatives(metric_fn, coords, cfg)
-    )
+    def axis_fields(i: int, points: np.ndarray) -> tuple[np.ndarray, ...]:
+        # one evaluation of both factors gives g_bar, J_bar and the metric
+        # of the factor that moves along u_i
+        r1, r2 = fields1(points[:, :m]), fields2(points[:, m:])
+        moving = r1 if i < m else r2
+        return (
+            product_metric(r1, r2, params), product_complex_structure(r1, r2, params),
+            moving.metric,
+        )
+
+    dg, ddg, (dj, dfactor) = _two_jet(metric_fn, coords, cfg, axis_fields)
+    dj = np.stack(dj)
+    r4, gamma_first, gamma = _riemann_from_jet(g_bar, dg, ddg)
     ricci = contract_trace(r4, g_bar)
     ricci_star = star_ricci_from_curvature(r4, j_bar, g_bar)
 
-    dj = partial_derivatives(j_fn, coords, cfg)
     nabla_j = (
         np.einsum("zm,xmy->xyz", g_bar, dj)
         + np.einsum("my,xmz->xyz", j_bar, gamma_first)
@@ -500,7 +551,9 @@ def compare_with_algebraic(
     )
 
     frame = _product_adapted_frame(f1, f2)
-    prediction = _connection_block_prediction(fields1, fields2, f1, f2, params, coords, cfg)
+    prediction = _connection_block_prediction(
+        f1, f2, params, _first_kind(np.stack(dfactor[:m])), _first_kind(np.stack(dfactor[m:]))
+    )
     return OracleComparison(
         riemann=float(np.abs(change_frame(frame, r4) - model.riemann_bar).max()),
         ricci=float(np.abs(change_frame(frame, ricci) - model.ricci_bar).max()),

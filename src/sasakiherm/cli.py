@@ -180,20 +180,14 @@ def parse_factor_spec(spec: str) -> FactorSpec:
     return FactorSpec(kind, value)
 
 
-def parse_grid(spec: str) -> list[float]:
-    """``start:stop:step``, or one value.
+def _grid(spec: str) -> tuple[int, Callable[[int], float]]:
+    """The size of a grid spec, ``start:stop:step`` or one value, and its ``k``-th value.
 
     The grid is counted and stepped exactly, in decimal arithmetic on the
     numbers as typed: its values are ``start + k * step`` for ``k = 0, 1,
     ...`` up to ``stop``, which is included only when it lies on the grid.
     Each value is rounded to a float once, at the end.
     """
-    count, value = _grid(spec)
-    return [value(k) for k in range(count)]
-
-
-def _grid(spec: str) -> tuple[int, Callable[[int], float]]:
-    """The size of a grid spec and its ``k``-th value; see :func:`parse_grid`."""
     parts = spec.split(":")
     if len(parts) not in (1, 3):
         raise InvalidParameterError(f"grid spec must be start:stop:step, got {spec!r}")
@@ -371,7 +365,8 @@ _SCAN_CHECKS = {  # --check value -> (anchor, residuals of a grid of (a, b) cell
 
 
 MAX_SCAN_CELLS = 10**5
-# Each sample point costs one oracle comparison (about a second at N = 22).
+# Each sample point costs one oracle comparison: about 6 ms at N = 6 and
+# 0.7 s at N = 22, nearly all of it in the unordered star-Ricci trace.
 MAX_ORACLE_POINTS = 10**4
 # At this bound one rank-4 tensor of the product (N = 42) takes 25 MB.
 MAX_PHI_PAIRS = 10

@@ -232,13 +232,3 @@ def integrability_residual(nabla_j: np.ndarray, j_bar: np.ndarray) -> float:
     half = (j_t @ nabla_j.reshape(len(j_t), -1)).reshape(nabla_j.shape)  # [x, v, z]
     return float(np.abs(nabla_j - j_t @ half).max())
 
-
-def sectional_curvature(
-    tensor: np.ndarray, metric: np.ndarray, x: np.ndarray, y: np.ndarray
-) -> float:
-    """Sectional curvature of the plane spanned by two vectors."""
-    num = float(np.einsum("xyzw,x,y,z,w->", tensor, x, y, y, x))
-    den = float((x @ metric @ x) * (y @ metric @ y) - (x @ metric @ y) ** 2)
-    if abs(den) < 1e-14:
-        raise ValueError("vectors do not span a plane")
-    return num / den

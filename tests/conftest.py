@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from sasakiherm.cli import _grid
 from sasakiherm.sasakian import d_homothetic_deform, make_round_sphere_model, make_space_form_model
 from sasakiherm.tensors import contract_trace
 
@@ -20,6 +21,21 @@ def random_spd(rng, n, scale=1.0):
     """Well-conditioned random symmetric positive definite matrix."""
     a = rng.normal(size=(n, n))
     return scale * (a @ a.T + n * np.eye(n))
+
+
+def sectional_curvature(tensor, metric, x, y):
+    """Sectional curvature of the plane spanned by two vectors."""
+    num = float(np.einsum("xyzw,x,y,z,w->", tensor, x, y, y, x))
+    den = float((x @ metric @ x) * (y @ metric @ y) - (x @ metric @ y) ** 2)
+    if abs(den) < 1e-14:
+        raise ValueError("vectors do not span a plane")
+    return num / den
+
+
+def parse_grid(spec):
+    """Every value of a CLI grid spec, ``start:stop:step`` or one value."""
+    count, value = _grid(spec)
+    return [value(k) for k in range(count)]
 
 
 def random_curvature_like(rng, n):

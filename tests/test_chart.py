@@ -23,6 +23,7 @@ from sasakiherm.chart import (
     sample_chart_points,
     second_partial_derivatives,
     _stereographic,
+    _two_jet,
 )
 from sasakiherm.einstein import calabi_eckmann_einstein_example
 from sasakiherm.errors import ChartDomainError, InvalidParameterError
@@ -39,7 +40,9 @@ from sasakiherm.sasakian import (
     make_round_sphere_model,
     verify_sasakian_curvature_identities,
 )
-from sasakiherm.tensors import adapted_frame, contract_trace, sectional_curvature
+from sasakiherm.tensors import adapted_frame, contract_trace
+
+from conftest import sectional_curvature
 
 CFG = StencilConfig()
 
@@ -321,11 +324,11 @@ class TestRiemannFD:
             rtol=0, atol=1e-8,
         )
 
-    @pytest.mark.parametrize("dim,evaluations", [(3, 175), (5, 451)])
+    @pytest.mark.parametrize("dim,evaluations", [(3, 151), (5, 411)])
     def test_metric_evaluations_per_call(self, dim, evaluations):
-        # points, counted as stack rows: the point, 8 per first partial, 32 per
-        # mixed pair and 18 distinct points per pure second partial:
-        # 1 + 8 n + 16 n (n - 1) + 18 n
+        # points, counted as stack rows: the point, 18 distinct points per
+        # axis (its pure second partial, which also holds the 8 of its first
+        # partial) and 32 per mixed pair: 1 + 18 n + 16 n (n - 1)
         rows = []
 
         def metric_field(u):
@@ -440,17 +443,41 @@ class TestStencilBatches:
         second_partial_derivatives(field, np.full(3, 0.1), CFG)
         assert rows == [18, 32, 32, 18, 32, 18]
 
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    def test_axis_points_give_both_derivative_orders(self, rng, alpha):
+        # one call on an axis's 18 points gives its first partial bit for bit
+        # as the 8-point stencil, for the field and for every further stack
+        fc1, fc2 = FactorChart(SphereChart(4), alpha=alpha), FactorChart(SphereChart(6), alpha)
+        point = sample_chart_points(rng, 8, count=1)[0]
+        polynomial = lambda u: np.stack(
+            [u[..., 0] ** 3 * u[..., 1], u[..., 1] ** 2 * u[..., 2] + u[..., 2] ** 4], axis=-1
+        )
+        metric_fn, j_fn = product_field_functions(fc1, fc2, HermitianParams(-0.7, 1.3))
+        for f, u in ((polynomial, point[:3]), (metric_fn, point), (j_fn, point)):
+            first, second, _ = _two_jet(f, u, CFG)
+            assert np.array_equal(first, partial_derivatives(f, u, CFG))
+            assert np.array_equal(second, second_partial_derivatives(f, u, CFG))
+
+        def axis_fields(i, points):
+            moving = fc1.metric_at(points[:, :3]) if i < 3 else fc2.metric_at(points[:, 3:])
+            return metric_fn(points), j_fn(points), moving
+
+        _, _, (dj, dfactor) = _two_jet(metric_fn, point, CFG, axis_fields)
+        assert np.array_equal(dj, partial_derivatives(j_fn, point, CFG))
+        assert np.array_equal(dfactor[:3], partial_derivatives(fc1.metric_at, point[:3], CFG))
+        assert np.array_equal(dfactor[3:], partial_derivatives(fc2.metric_at, point[3:], CFG))
+
     def test_factor_field_calls_per_comparison(self, field_calls, rng):
         # N = 6: both factors at the point (2), then one call per factor for
-        # each of 6 axes of g_bar (12), 21 pairs of g_bar (42) and 6 axes of
-        # J_bar (12), and one for each of 3 axes per factor metric (6)
+        # each of 6 axes (12), whose 18 points give g_bar, J_bar and the
+        # moving factor's metric, and for each of 15 pairs of g_bar (30)
         model = build_product_model(
             make_round_sphere_model(1), make_round_sphere_model(1), HermitianParams(0.5, 1.0)
         )
         fc = FactorChart(SphereChart(4))
         point = sample_chart_points(rng, 6, count=1)[0]
         compare_with_algebraic(fc, fc, HermitianParams(0.5, 1.0), model, point, CFG)
-        assert len(field_calls) == 74
+        assert len(field_calls) == 44
         assert max(_rows(u) for u in field_calls) == 32
 
 

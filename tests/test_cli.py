@@ -29,13 +29,14 @@ from sasakiherm.cli import (
     emit_report,
     main,
     parse_factor_spec,
-    parse_grid,
     run,
 )
 from sasakiherm.einstein import einstein_verdict
 from sasakiherm.errors import GeometryError, InvalidParameterError
 from sasakiherm.product import HermitianParams, build_product_model, check_integrability
 from sasakiherm.tensors import TOLERANCES
+
+from conftest import parse_grid
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

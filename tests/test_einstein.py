@@ -8,7 +8,6 @@ import numpy.testing as npt
 import pytest
 
 import sasakiherm.einstein
-from sasakiherm.cli import parse_grid
 from sasakiherm.einstein import (
     calabi_eckmann_einstein_example,
     einstein_verdict,
@@ -32,7 +31,7 @@ from sasakiherm.sasakian import (
     space_form_ricci_coefficients,
 )
 
-from conftest import GRID_FACTORS
+from conftest import GRID_FACTORS, parse_grid
 
 
 class TestRequiredCoefficients:

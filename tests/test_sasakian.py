@@ -25,7 +25,9 @@ from sasakiherm.sasakian import (
     standard_frame,
     verify_sasakian_curvature_identities,
 )
-from sasakiherm.tensors import contract_trace, orthonormal_frame, sectional_curvature
+from sasakiherm.tensors import contract_trace, orthonormal_frame
+
+from conftest import sectional_curvature
 
 
 def space_form_curvature_einsum(g, phi, eta, c):

@@ -17,7 +17,6 @@ from sasakiherm.tensors import (
     integrability_residual,
     orthonormal_frame,
     require_spd,
-    sectional_curvature,
     star_ricci_from_curvature,
     symmetrize,
 )
@@ -27,6 +26,7 @@ from conftest import (
     integrability_by_definition,
     random_curvature_like,
     random_spd,
+    sectional_curvature,
 )
 
 
