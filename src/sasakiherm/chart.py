@@ -42,6 +42,7 @@ from .tensors import (
     change_frame,
     contract_trace,
     integrability_residual,
+    require_spd,
     star_ricci_from_curvature,
 )
 
@@ -162,18 +163,6 @@ def _two_jet(
     return np.stack(firsts[0]), np.array(second), firsts[1:]
 
 
-def second_partial_derivatives(f: Callable, u: np.ndarray, cfg: StencilConfig) -> np.ndarray:
-    """All second partials of a field that maps ``(..., n)`` points to ``(..., *shape)``.
-
-    Returns ``out[i, j] = d^2 f / du_i du_j``: the first-derivative
-    stencil along ``u_i`` applied to the one along ``u_j``, at ``h`` and
-    ``h/2`` and Richardson-extrapolated like :func:`partial_derivatives`.
-    Each unordered pair ``i <= j`` is one call: 32 offsets, or 18 for
-    ``i == j``, where coinciding offsets are evaluated once.
-    """
-    return _two_jet(f, u, cfg)[1]
-
-
 # ---------------------------------------------------------------------------
 # stereographic charts and Sasakian fields
 # ---------------------------------------------------------------------------
@@ -228,11 +217,6 @@ def _stereographic(chart: SphereChart, u: np.ndarray) -> tuple[np.ndarray, ...]:
     jac[..., :n, :] = 2.0 * np.eye(n) / s[..., None] - 4.0 * uu / s[..., None] ** 2
     jac[..., n, :] = -4.0 * u / s**2
     return x, jac, 2.0 / s[..., 0]
-
-
-def embed(chart: SphereChart, u: np.ndarray) -> np.ndarray:
-    """Chart points ``(..., dim)`` mapped onto the unit sphere in ambient coordinates."""
-    return _stereographic(chart, u)[0]
 
 
 def canonical_sasakian_fields(chart: SphereChart, u: np.ndarray) -> SasakianStructure:
@@ -298,31 +282,23 @@ def _first_kind(dg: np.ndarray) -> np.ndarray:
     return 0.5 * (dg + np.einsum("...jik->...ijk", dg) - np.einsum("...kij->...ijk", dg))
 
 
-def christoffels_first_kind_fd(
-    metric_field: Callable, u: np.ndarray, cfg: StencilConfig
-) -> np.ndarray:
-    """First-kind symbols ``Gamma_{ij,k}`` from a stencil of the metric."""
-    return _first_kind(partial_derivatives(metric_field, u, cfg))
-
-
 def christoffels_fd(metric_field: Callable, u: np.ndarray, cfg: StencilConfig) -> np.ndarray:
-    """Second-kind symbols ``Gamma^k_{ij}``, indexed ``[k, i, j]``."""
-    first = christoffels_first_kind_fd(metric_field, u, cfg)
-    ginv = np.linalg.inv(metric_field(u))
-    return np.einsum("kl,ijl->kij", ginv, first)
+    """Second-kind symbols ``Gamma^k_{ij}``, indexed ``[k, i, j]``, from a stencil of the metric."""
+    first = _first_kind(partial_derivatives(metric_field, u, cfg))
+    return np.einsum("kl,ijl->kij", np.linalg.inv(metric_field(u)), first)
 
 
 def _riemann_from_jet(
-    g: np.ndarray, dg: np.ndarray, ddg: np.ndarray
+    g: np.ndarray, ginv: np.ndarray, dg: np.ndarray, ddg: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Covariant curvature from the metric's 2-jet at a point.
 
-    ``dg[d, i, j] = d_d g_ij`` and ``ddg[c, d, i, j] = d_c d_d g_ij``; the
-    derivative of the second-kind symbols uses
+    ``ginv`` is the inverse of ``g``, which the caller owns and inverts
+    once.  ``dg[d, i, j] = d_d g_ij`` and ``ddg[c, d, i, j] = d_c d_d g_ij``;
+    the derivative of the second-kind symbols uses
     ``d g^-1 = -g^-1 (d g) g^-1``.  Returns the curvature together with
     the first- and second-kind symbols it was built from.
     """
-    ginv = np.linalg.inv(g)
     first = _first_kind(dg)
     gamma = np.einsum("kl,ijl->kij", ginv, first)
     dginv = -np.einsum("ma,dab,bl->dml", ginv, dg, ginv, optimize=True)
@@ -348,7 +324,8 @@ def riemann_fd(metric_field: Callable, u: np.ndarray, cfg: StencilConfig) -> np.
     """
     u = np.asarray(u, dtype=float)
     dg, ddg, _ = _two_jet(metric_field, u, cfg)
-    return _riemann_from_jet(np.asarray(metric_field(u), dtype=float), dg, ddg)[0]
+    g = np.asarray(metric_field(u), dtype=float)
+    return _riemann_from_jet(g, np.linalg.inv(g), dg, ddg)[0]
 
 
 def nijenhuis_fd(j_field: Callable, u: np.ndarray, cfg: StencilConfig) -> np.ndarray:
@@ -518,6 +495,10 @@ def compare_with_algebraic(
     the moving factor's metric, whose Christoffel symbols the connection
     prediction takes.  Each pair of axes is one 32-point stencil of
     ``g_bar``.  At ``N = 6`` that is 44 factor-field calls.
+
+    ``g_bar`` at the point is certified and inverted once, before any
+    stencil; the curvature, Ricci and star-Ricci traces all take that
+    inverse.
     """
     coords = np.asarray(coords, dtype=float)
     m = factor_chart.dim
@@ -526,6 +507,8 @@ def compare_with_algebraic(
     f1 = fields1(coords[:m])
     f2 = fields2(coords[m:])
     g_bar = product_metric(f1, f2, params)
+    require_spd(g_bar)
+    g_inv = np.linalg.inv(g_bar)
     j_bar = product_complex_structure(f1, f2, params)
 
     def axis_fields(i: int, points: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -540,9 +523,9 @@ def compare_with_algebraic(
 
     dg, ddg, (dj, dfactor) = _two_jet(metric_fn, coords, cfg, axis_fields)
     dj = np.stack(dj)
-    r4, gamma_first, gamma = _riemann_from_jet(g_bar, dg, ddg)
-    ricci = contract_trace(r4, g_bar)
-    ricci_star = star_ricci_from_curvature(r4, j_bar, g_bar)
+    r4, gamma_first, gamma = _riemann_from_jet(g_bar, g_inv, dg, ddg)
+    ricci = contract_trace(r4, g_inv)
+    ricci_star = star_ricci_from_curvature(r4, j_bar, g_inv)
 
     nabla_j = (
         np.einsum("zm,xmy->xyz", g_bar, dj)

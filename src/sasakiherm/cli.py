@@ -45,6 +45,7 @@ from .product import (
     check_not_kahler,
     check_weakly_star_einstein,
     integrability_residuals,
+    product_metric_inverse,
 )
 from .sasakian import (
     SasakianPointModel,
@@ -283,6 +284,7 @@ def _run_verify_product(args) -> tuple[list[CheckRecord], dict]:
     factor, factor_prime = _build_factors(args)
     model = build_product_model(factor, factor_prime, HermitianParams(a=args.a, b=args.b))
     g_bar, j_bar = model.g_bar, model.j_bar
+    g_inv = product_metric_inverse(factor, factor_prime, model.params)
     checks = [
         _check("hermitian_compatibility", "g(JX,JY) = g(X,Y)",
                np.abs(j_bar.T @ g_bar @ j_bar - g_bar).max()),
@@ -298,11 +300,11 @@ def _run_verify_product(args) -> tuple[list[CheckRecord], dict]:
                check_integrability(model)),
         _check("ricci_matches_curvature_trace",
                "closed-form ricci equals metric trace of closed-form curvature",
-               np.abs(contract_trace(model.riemann_bar, g_bar) - model.ricci_bar).max(),
+               np.abs(contract_trace(model.riemann_bar, g_inv) - model.ricci_bar).max(),
                "trace"),
         _check("ricci_star_matches_trace_definition",
                "closed-form rho* equals tr(Z -> R(X,JZ)JY)",
-               np.abs(star_ricci_from_curvature(model.riemann_bar, j_bar, g_bar)
+               np.abs(star_ricci_from_curvature(model.riemann_bar, j_bar, g_inv)
                       - model.ricci_star_bar).max(),
                "trace"),
     ]

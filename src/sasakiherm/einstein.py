@@ -24,6 +24,7 @@ from .product import (
     build_product_model,
     build_product_ricci,
     product_metric,
+    product_metric_inverse,
 )
 from .sasakian import (
     SasakianPointModel,
@@ -31,7 +32,7 @@ from .sasakian import (
     make_round_sphere_model,
     space_form_ricci_coefficients,
 )
-from .tensors import ALGEBRAIC_TOL
+from .tensors import TOLERANCES
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,7 @@ class StructuralConditions:
     """The four structural requirements for an Einstein product.
 
     Each holds when its distance, named in :data:`DISTANCES`, is at most
-    :data:`~sasakiherm.tensors.ALGEBRAIC_TOL`.
+    the ``algebraic`` tolerance of :data:`~sasakiherm.tensors.TOLERANCES`.
     """
 
     a_is_zero: bool
@@ -130,14 +131,17 @@ def einstein_verdict(
     members, which returns one verdict per member, in order.  One member
     is the grid of one cell.  The factor conditions are decided once per
     grid, and each pass of up to :data:`GRID_BLOCK` cells is traced in one
-    einsum; the metrics need no test, as each member certified its own
-    where it was made.  The error raised is that of the first failing cell
-    in order; a disagreement names the cell's ``(a, b)`` and distances.
+    einsum with the stacked closed-form inverse metrics of
+    :func:`~sasakiherm.product.product_metric_inverse`; the metrics need no
+    test, as each member certified its own where it was made.  The error
+    raised is that of the first failing cell in order; a disagreement
+    names the cell's ``(a, b)`` and distances.
     """
     single = isinstance(params, HermitianParams)
     cells = (params,) if single else tuple(params)
     p, q = factor.n, factor_prime.n
     dim = factor.dim + factor_prime.dim
+    tol = TOLERANCES["algebraic"]
     g_coeff, eta_coeff = required_eta_einstein_coefficients(p, q)
     fits = (factor.ricci_deviation(2.0 * p, 0.0),
             factor_prime.ricci_deviation(g_coeff, eta_coeff))
@@ -146,21 +150,22 @@ def einstein_verdict(
         block = cells[start:start + GRID_BLOCK]
         stack = _as_params(block)
         g_bar = product_metric(factor, factor_prime, stack).reshape(-1, dim, dim)
+        g_inv = product_metric_inverse(factor, factor_prime, stack).reshape(g_bar.shape)
         ricci_bar = build_product_ricci(factor, factor_prime, stack).reshape(g_bar.shape)
-        fitted = np.einsum("cij,cij->c", np.linalg.inv(g_bar), ricci_bar) / dim
+        fitted = np.einsum("cij,cij->c", g_inv, ricci_bar) / dim
         residuals = np.abs(ricci_bar - fitted[:, None, None] * g_bar).max(axis=(-2, -1)).tolist()
         for cell, ricci, lam, residual in zip(block, ricci_bar, fitted.tolist(), residuals):
             a, b = cell.a, cell.b
             distances = (abs(a), abs(p - b * b * q), *fits)
-            conditions = StructuralConditions(*(distance <= ALGEBRAIC_TOL for distance in distances))
-            residual_says = residual <= ALGEBRAIC_TOL
+            conditions = StructuralConditions(*(distance <= tol for distance in distances))
+            residual_says = residual <= tol
             structure_says = conditions.all_hold()
             if structure_says != residual_says:
                 raise ConsistencyError(
                     "structural and residual Einstein verdicts disagree: "
                     f"structural={structure_says} residual={residual_says} "
                     f"(residual {residual:.3e}, failing {conditions.failing()}) "
-                    f"at a = {float(a)!r}, b = {float(b)!r}; distances against tol {ALGEBRAIC_TOL:g}: "
+                    f"at a = {float(a)!r}, b = {float(b)!r}; distances against tol {tol:g}: "
                     + ", ".join(f"{name} = {d:.3g}" for name, d in zip(DISTANCES, distances))
                 )
             verdicts.append(EinsteinVerdict(

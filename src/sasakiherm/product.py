@@ -168,20 +168,26 @@ def product_metric(
 def product_metric_inverse(
     factor: SasakianPointModel,
     factor_prime: SasakianPointModel,
-    params: HermitianParams,
+    params: HermitianParams | ParamStack,
 ) -> np.ndarray:
     """Closed-form inverse of the product metric of two factor models.
 
     The identity off the Reeb plane, and ``[[a^2 + b^2, -a], [-a, 1]] / b^2``
-    on the two Reeb directions.
+    on the two Reeb directions; each entry is one expression in ``a, b``.
+    A :class:`ParamStack` gives one inverse per cell, as in
+    :func:`product_metric`.  No test is made: :class:`HermitianParams`
+    certified each metric where its member was made.
     """
     a, b = params.a, params.b
     b2 = b * b
-    reeb, reeb_prime = factor.dim - 1, factor.dim + factor_prime.dim - 1
-    g_inv = np.eye(reeb_prime + 1)
-    g_inv[reeb, reeb] = (a * a + b2) / b2
-    g_inv[reeb, reeb_prime] = g_inv[reeb_prime, reeb] = -a / b2
-    g_inv[reeb_prime, reeb_prime] = 1.0 / b2
+    m = factor.dim
+    dim = m + factor_prime.dim
+    mixed = (-a / b2) * (factor.eta[:, None] * factor_prime.eta[None, :])
+    g_inv = np.zeros(mixed.shape[:-2] + (dim, dim))
+    g_inv[..., :m, :m] = factor.transverse + ((a * a + b2) / b2) * factor.eta_eta
+    g_inv[..., m:, m:] = factor_prime.transverse + (1.0 / b2) * factor_prime.eta_eta
+    g_inv[..., :m, m:] = mixed
+    g_inv[..., m:, :m] = np.swapaxes(mixed, -1, -2)
     return g_inv
 
 

@@ -19,10 +19,7 @@ from .errors import IndefiniteMetricError, MetricError, SingularMetricError
 # of closed-form curvature to ``trace``; finite-difference comparisons use
 # ``first`` or ``second`` by derivative order; yes/no checks record
 # residual 0 (pass) or 1 (fail).
-ALGEBRAIC_TOL = 1e-12
-TOLERANCES = {
-    "algebraic": ALGEBRAIC_TOL, "trace": 1e-11, "second": 1e-4, "first": 1e-5, "yes_no": 0.5,
-}
+TOLERANCES = {"algebraic": 1e-12, "trace": 1e-11, "second": 1e-4, "first": 1e-5, "yes_no": 0.5}
 
 
 def freeze_fields(record, names) -> None:
@@ -86,20 +83,20 @@ def spectrum_error(name: str, lo: float, hi: float) -> MetricError | None:
     return SingularMetricError(f"{name} is singular ({spectrum}, at most {SINGULAR_RATIO:g})")
 
 
-def contract_trace(tensor: np.ndarray, metric: np.ndarray) -> np.ndarray:
+def contract_trace(tensor: np.ndarray, metric_inverse: np.ndarray) -> np.ndarray:
     """Metric trace of a rank-4 tensor over its middle slots, or of a form.
 
-    Equivalent to feeding both traced slots the vectors of any
-    ``metric``-orthonormal frame and summing.  A curvature tensor
-    ``T[x, y, z, w]`` traces over ``y, z`` to its Ricci form ``[x, w]``;
-    a bilinear form traces to the scalar ``<metric^-1, form>``.
+    Takes the inverse metric, which whoever owns the metric certifies
+    and inverts once.  Equivalent to feeding both traced slots the
+    vectors of any orthonormal frame of the metric and summing.  A
+    curvature tensor ``T[x, y, z, w]`` traces over ``y, z`` to its Ricci
+    form ``[x, w]``; a bilinear form traces to the scalar
+    ``<metric_inverse, form>``.
     """
     t = np.asarray(tensor, dtype=float)
     if t.ndim not in (2, 4):
         raise ValueError(f"expected a rank-2 or rank-4 tensor, got ndim={t.ndim}")
-    require_spd(metric)
-    ginv = np.linalg.inv(metric)
-    return np.einsum("ij,aijb->ab" if t.ndim == 4 else "ij,ij->", ginv, t)
+    return np.einsum("ij,aijb->ab" if t.ndim == 4 else "ij,ij->", metric_inverse, t)
 
 
 def change_frame(frame: np.ndarray, tensor: np.ndarray) -> np.ndarray:
@@ -204,17 +201,16 @@ def curvature_symmetry_residuals(tensor: np.ndarray) -> dict[str, float]:
 
 
 def star_ricci_from_curvature(
-    tensor: np.ndarray, j: np.ndarray, metric: np.ndarray
+    tensor: np.ndarray, j: np.ndarray, metric_inverse: np.ndarray
 ) -> np.ndarray:
     """Star-Ricci form from its trace definition.
 
     Computes ``rho*(X, Y) = tr(Z -> R(X, J Z) J Y)`` directly from the
-    covariant curvature tensor; serves as the independent cross-check of
-    any closed-form star-Ricci expression.
+    covariant curvature tensor, traced with the inverse metric as in
+    :func:`contract_trace`; serves as the independent cross-check of any
+    closed-form star-Ricci expression.
     """
-    require_spd(metric)
-    ginv = np.linalg.inv(metric)
-    return np.einsum("kl,mk,ny,xmnl->xy", ginv, j, j, tensor)
+    return np.einsum("kl,mk,ny,xmnl->xy", metric_inverse, j, j, tensor)
 
 
 def integrability_residual(nabla_j: np.ndarray, j_bar: np.ndarray) -> float:

@@ -13,15 +13,12 @@ from sasakiherm.chart import (
     StencilConfig,
     canonical_sasakian_fields,
     christoffels_fd,
-    christoffels_first_kind_fd,
     compare_with_algebraic,
-    embed,
     nijenhuis_fd,
     partial_derivatives,
     product_field_functions,
     riemann_fd,
     sample_chart_points,
-    second_partial_derivatives,
     _stereographic,
     _two_jet,
 )
@@ -87,7 +84,7 @@ def test_second_partial_derivatives_on_polynomial():
         axis=-1,
     )
     x, y, z = u = np.array([0.3, -0.4, 0.7])
-    d2 = second_partial_derivatives(f, u, CFG)
+    d2 = _two_jet(f, u, CFG)[1]
     expected = np.array(
         [
             [[6 * x * y, 2 * y * y * z], [3 * x * x, 4 * x * y * z], [0.0, 2 * x * y * y]],
@@ -109,23 +106,23 @@ class TestSphereChart:
     def test_embedding_lands_on_sphere(self, rng):
         chart = SphereChart(6)
         for point in sample_chart_points(rng, chart.dim, count=10):
-            x = embed(chart, point)
+            x = _stereographic(chart, point)[0]
             assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-14)
 
     def test_origin_maps_to_pole(self):
         # the pole is the last ambient axis
-        npt.assert_array_equal(embed(SphereChart(4), np.zeros(3)), [0.0, 0.0, 0.0, 1.0])
+        npt.assert_array_equal(_stereographic(SphereChart(4), np.zeros(3))[0], [0.0, 0.0, 0.0, 1.0])
 
     def test_jacobian_matches_finite_differences(self, rng):
         chart = SphereChart(4)
         u = sample_chart_points(rng, 3, count=1)[0]
-        fd = partial_derivatives(lambda v: embed(chart, v), u, CFG)
+        fd = partial_derivatives(lambda v: _stereographic(chart, v)[0], u, CFG)
         npt.assert_allclose(np.einsum("ia->ai", fd), _stereographic(chart, u)[1], atol=1e-11)
 
     def test_domain_errors(self):
         chart = SphereChart(4)
         with pytest.raises(ChartDomainError):
-            embed(chart, np.array([np.nan, 0.0, 0.0]))
+            _stereographic(chart, np.array([np.nan, 0.0, 0.0]))
         with pytest.raises(ChartDomainError):
             canonical_sasakian_fields(chart, np.full(3, 1.0e7))
 
@@ -168,7 +165,7 @@ class TestPullbackMetric:
         # oracle: differentiate the embedding itself and form J^T J
         chart = SphereChart(6)
         u = sample_chart_points(rng, 5, count=1)[0]
-        fd = partial_derivatives(lambda v: embed(chart, v), u, CFG)
+        fd = partial_derivatives(lambda v: _stereographic(chart, v)[0], u, CFG)
         jac = np.einsum("ia->ai", fd)
         npt.assert_allclose(jac.T @ jac, canonical_sasakian_fields(chart, u).metric, atol=1e-11)
 
@@ -237,9 +234,9 @@ class TestCanonicalFields:
         j0 = np.kron(np.eye(3), [[0.0, -1.0], [1.0, 0.0]])  # pairs (x_0, x_1), ...
         for point in sample_chart_points(rng, 5, count=10):
             f = canonical_sasakian_fields(chart, point)
-            jac = _stereographic(chart, point)[1]
+            x, jac, _ = _stereographic(chart, point)
             # eta against the test's own J0 guards the chart's fixed J0
-            npt.assert_allclose(f.eta, -jac.T @ j0 @ embed(chart, point), rtol=1e-14, atol=1e-15)
+            npt.assert_allclose(f.eta, -jac.T @ j0 @ x, rtol=1e-14, atol=1e-15)
             npt.assert_allclose(f.xi, np.linalg.solve(f.metric, f.eta), rtol=1e-14, atol=0)
             npt.assert_allclose(
                 f.phi, np.linalg.solve(f.metric, jac.T @ j0 @ jac), rtol=1e-14, atol=1e-15
@@ -298,8 +295,8 @@ class TestChristoffels:
     def test_lower_index_symmetry(self, rng):
         chart = SphereChart(6)
         point = sample_chart_points(rng, 5, count=1)[0]
-        first = christoffels_first_kind_fd(round_metric(chart), point, CFG)
-        npt.assert_allclose(first, np.einsum("jik->ijk", first), atol=1e-9)
+        gamma = christoffels_fd(round_metric(chart), point, CFG)
+        npt.assert_allclose(gamma, np.einsum("kji->kij", gamma), atol=1e-9)
 
 
 class TestRiemannFD:
@@ -347,7 +344,9 @@ class TestRiemannFD:
         chart = SphereChart(6)
         point = sample_chart_points(rng, 5, count=1)[0]
         metric_field = round_metric(chart)
-        ricci = contract_trace(riemann_fd(metric_field, point, CFG), metric_field(point))
+        ricci = contract_trace(
+            riemann_fd(metric_field, point, CFG), np.linalg.inv(metric_field(point))
+        )
         npt.assert_allclose(ricci, 4.0 * metric_field(point), atol=1e-4)
 
     @pytest.mark.parametrize("q,alpha", [(1, 0.5), (2, 2.0), (2, 0.5)])
@@ -361,7 +360,8 @@ class TestRiemannFD:
         frame = adapted_frame(fields.metric, fields.phi, fields.xi)
         riemann = np.einsum("ia,jb,kc,ld,ijkl->abcd", frame, frame, frame, frame, riemann)
         model = SasakianPointModel(
-            n=q, riemann=riemann, ricci=contract_trace(riemann, frame.T @ fields.metric @ frame),
+            n=q, riemann=riemann,
+            ricci=contract_trace(riemann, np.linalg.inv(frame.T @ fields.metric @ frame)),
         )
         assert verify_sasakian_curvature_identities(model).max_residual() <= 1e-6
 
@@ -411,8 +411,9 @@ class TestStencilBatches:
         for alpha in (1.0, 0.5, 2.5):
             fc1, fc2 = FactorChart(charts[0], alpha=alpha), FactorChart(charts[1], alpha=alpha)
             stack = sample_chart_points(rng, 3, count=6)
+            sphere_point = lambda u: _stereographic(charts[0], u)[0]
             npt.assert_allclose(
-                embed(charts[0], stack), [embed(charts[0], u) for u in stack], rtol=1e-14
+                sphere_point(stack), [sphere_point(u) for u in stack], rtol=1e-14
             )
             for evaluate in (lambda u: canonical_sasakian_fields(charts[0], u), fc1.fields):
                 batch, rows = evaluate(stack), [evaluate(u) for u in stack]
@@ -440,7 +441,7 @@ class TestStencilBatches:
         partial_derivatives(field, np.full(4, 0.1), CFG)
         assert rows == [8] * 4
         rows.clear()
-        second_partial_derivatives(field, np.full(3, 0.1), CFG)
+        _two_jet(field, np.full(3, 0.1), CFG)
         assert rows == [18, 32, 32, 18, 32, 18]
 
     @pytest.mark.parametrize("alpha", [1.0, 0.5])
@@ -454,9 +455,7 @@ class TestStencilBatches:
         )
         metric_fn, j_fn = product_field_functions(fc1, fc2, HermitianParams(-0.7, 1.3))
         for f, u in ((polynomial, point[:3]), (metric_fn, point), (j_fn, point)):
-            first, second, _ = _two_jet(f, u, CFG)
-            assert np.array_equal(first, partial_derivatives(f, u, CFG))
-            assert np.array_equal(second, second_partial_derivatives(f, u, CFG))
+            assert np.array_equal(_two_jet(f, u, CFG)[0], partial_derivatives(f, u, CFG))
 
         def axis_fields(i, points):
             moving = fc1.metric_at(points[:, :3]) if i < 3 else fc2.metric_at(points[:, 3:])
@@ -551,6 +550,7 @@ class TestCompareWithAlgebraic:
             "build_product_ricci",
             "build_product_ricci_star",
             "build_product_model",
+            "product_metric_inverse",
             "d_homothetic_deform",
         ],
     )
@@ -561,6 +561,31 @@ class TestCompareWithAlgebraic:
         closed_form = getattr(module, builder)
         assert not hasattr(sasakiherm.chart, builder)
         assert all(value is not closed_form for value in vars(sasakiherm.chart).values())
+
+    def test_certifies_and_inverts_the_metric_once(self, monkeypatch, rng):
+        # g_bar at the point is checked and inverted once, before any stencil,
+        # and that inverse serves the curvature and both traces
+        fc1, fc2 = FactorChart(SphereChart(4)), FactorChart(SphereChart(4), alpha=0.5)
+        params = HermitianParams(0.5, 1.0)
+        model = build_product_model(
+            make_round_sphere_model(1), d_homothetic_deform(make_round_sphere_model(1), 0.5), params
+        )
+        point = sample_chart_points(rng, 6, count=1)[0]
+        calls = {"require_spd": 0, "inv": 0}
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            sasakiherm.chart, "require_spd", counted("require_spd", sasakiherm.chart.require_spd)
+        )
+        monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
+        comparison = compare_with_algebraic(fc1, fc2, params, model, point, CFG)
+        assert calls == {"require_spd": 1, "inv": 1}
+        assert comparison.riemann <= 1e-4
 
     def test_riemannian_product_case(self, rng):
         fc = FactorChart(SphereChart(4))
@@ -626,5 +651,5 @@ class TestCompareWithAlgebraic:
         assert comparison.nabla_j <= 1e-5
         # the Einstein property seen purely through the stencils
         metric_fn, _ = product_field_functions(fc1, fc2, model.params)
-        ricci = contract_trace(riemann_fd(metric_fn, point, CFG), metric_fn(point))
+        ricci = contract_trace(riemann_fd(metric_fn, point, CFG), np.linalg.inv(metric_fn(point)))
         npt.assert_allclose(ricci, 4.0 * metric_fn(point), atol=1e-4)

@@ -316,20 +316,33 @@ class TestCommands:
         assert code == 0
         assert json.loads(out)["summary"]["pass"] == 20
 
-    @pytest.mark.parametrize("check", ["einstein", "integrability"])
-    def test_scan_runs_no_eigensolver(self, monkeypatch, capsys, check):
-        # each member's metric is certified in closed form where it is made
-        def refuse(*args):
-            raise AssertionError("a scan ran an eigensolver")
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["scan", "--p", "2", "--q", "1", "--a=-1:1:0.5", "--b", "0.5:2:0.5",
+              "--check", "einstein", "--factor-prime", "space-form:5"], 1),
+            (["scan", "--p", "2", "--q", "1", "--a=-1:1:0.5", "--b", "0.5:2:0.5",
+              "--check", "integrability", "--factor-prime", "space-form:5"], 0),
+            (["einstein", "--p", "2", "--q", "1", "--a", "0", "--b", "1.4142135623730951",
+              "--factor-prime", "space-form:5"], 0),
+            (["verify-product", "--p", "2", "--q", "1", "--a", "0.5", "--b", "1.2"], 0),
+            (["verify-factor", "--p", "2", "--factor", "deformed:0.5"], 0),
+            (["example", "--p", "2", "--q", "1"], 0),
+        ],
+        ids=["scan-einstein", "scan-integrability", "einstein", "verify-product",
+             "verify-factor", "example"],
+    )
+    def test_closed_form_command_calls_no_linalg(self, monkeypatch, capsys, argv, code):
+        # each member's metric is certified where it is made, and its
+        # inverse is a closed form; only oracle-compare calls numpy.linalg
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{argv[0]} called numpy.linalg")
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-        code, out, _ = run_cli(
-            ["scan", "--p", "2", "--q", "1", "--a=-1:1:0.5", "--b", "0.5:2:0.5",
-             "--check", check, "--factor-prime", "space-form:5"],
-            capsys,
-        )
-        assert code == (1 if check == "einstein" else 0)
-        assert len(json.loads(out)["checks"]) == 20
+        for name in ("inv", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        exit_code, out, _ = run_cli(argv, capsys)
+        assert exit_code == code
+        assert json.loads(out)["checks"]
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_verify_factor_deformed_off_unit_scale(self, capsys, p):

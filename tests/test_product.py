@@ -145,7 +145,7 @@ class TestProductMetric:
         assert np.linalg.eigvalsh(g_bar).min() > 0.0
 
 
-@pytest.mark.parametrize("build", [product_metric, build_product_ricci])
+@pytest.mark.parametrize("build", [product_metric, product_metric_inverse, build_product_ricci])
 def test_cell_stack_gives_each_cell_exactly(build):
     factor, factor_prime = make_round_sphere_model(2), make_space_form_model(1, 5.0)
     cells = [HermitianParams(a, b) for a, b in PARAM_GRID]
@@ -153,6 +153,15 @@ def test_cell_stack_gives_each_cell_exactly(build):
     assert stacked.shape == (len(cells), 8, 8)
     for cell, tensor in zip(cells, stacked):
         assert np.array_equal(tensor, build(factor, factor_prime, cell))
+
+
+def test_cell_stack_of_inverses_inverts_each_metric():
+    factor, factor_prime = make_round_sphere_model(2), make_space_form_model(1, 5.0)
+    stack = ParamStack.of([HermitianParams(a, b) for a, b in PARAM_GRID + [(0.0, 1e-6)]])
+    g_bar = product_metric(factor, factor_prime, stack)
+    g_inv = product_metric_inverse(factor, factor_prime, stack)
+    for metric, inverse in zip(g_bar, g_inv):
+        npt.assert_allclose(metric @ inverse, np.eye(8), rtol=0, atol=1e-15 * np.abs(inverse).max())
 
 
 class TestComplexStructure:
@@ -357,7 +366,7 @@ class TestProductRicci:
         g_bar = build_product_metric(factor, factor_prime, params)
         riemann = build_product_curvature(factor, factor_prime, params)
         ricci = build_product_ricci(factor, factor_prime, params)
-        npt.assert_allclose(contract_trace(riemann, g_bar), ricci, atol=1e-11)
+        npt.assert_allclose(contract_trace(riemann, np.linalg.inv(g_bar)), ricci, atol=1e-11)
 
 
 class TestProductRicciStar:
@@ -376,7 +385,9 @@ class TestProductRicciStar:
     def test_matches_trace_definition_at_unit_parameters(self):
         factor, factor_prime = spheres(1, 1)
         model = build_product_model(factor, factor_prime, HermitianParams(0.0, 1.0))
-        traced = star_ricci_from_curvature(model.riemann_bar, model.j_bar, model.g_bar)
+        traced = star_ricci_from_curvature(
+            model.riemann_bar, model.j_bar, np.linalg.inv(model.g_bar)
+        )
         npt.assert_allclose(traced, model.ricci_star_bar, atol=1e-11)
 
     @pytest.mark.parametrize("a,b", PARAM_GRID)
@@ -387,7 +398,9 @@ class TestProductRicciStar:
         # no curvature-dependent term, so with a space-form factor at c != 1
         # it misses the trace definition (by 4.0 at p = q = 1, c = 5)
         model = build_product_model(*spheres(p, q), HermitianParams(a, b))
-        traced = star_ricci_from_curvature(model.riemann_bar, model.j_bar, model.g_bar)
+        traced = star_ricci_from_curvature(
+            model.riemann_bar, model.j_bar, np.linalg.inv(model.g_bar)
+        )
         npt.assert_allclose(traced, model.ricci_star_bar, atol=1e-11)
 
 
@@ -415,10 +428,11 @@ class TestScalarCurvatures:
         model = build_product_model(
             make_round_sphere_model(2), make_space_form_model(1, 5.0), HermitianParams(a, b)
         )
-        assert model.tau_bar == pytest.approx(contract_trace(model.ricci_bar, model.g_bar),
+        g_inv = np.linalg.inv(model.g_bar)
+        assert model.tau_bar == pytest.approx(contract_trace(model.ricci_bar, g_inv),
                                               rel=1e-13, abs=1e-12)
         assert model.tau_star_bar == pytest.approx(
-            contract_trace(model.ricci_star_bar, model.g_bar), rel=1e-13, abs=1e-12
+            contract_trace(model.ricci_star_bar, g_inv), rel=1e-13, abs=1e-12
         )
 
 
