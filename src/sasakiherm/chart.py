@@ -41,7 +41,6 @@ from .tensors import (
     adapted_frame,
     change_frame,
     contract_trace,
-    integrability_residual,
     require_spd,
     star_ricci_from_curvature,
 )
@@ -403,9 +402,8 @@ class OracleComparison:
 
     Curvature-level quantities (``riemann``, ``ricci``, ``ricci_star``)
     come from second-derivative stencils of the metric; the connection
-    blocks, the covariant derivative of the complex structure, the
-    integrability residual and the largest Nijenhuis entry from
-    first-derivative ones.
+    blocks, the covariant derivative of the complex structure and the
+    largest Nijenhuis entry from first-derivative ones.
     """
 
     riemann: float
@@ -413,7 +411,6 @@ class OracleComparison:
     ricci_star: float
     connection: float
     nabla_j: float
-    integrability: float
     nijenhuis: float
 
 
@@ -483,9 +480,8 @@ def compare_with_algebraic(
     complex structure are transported into the structure-adapted frame
     at the chart point, where homogeneity makes them directly
     comparable entry-by-entry with the closed-form tensors.  Connection
-    blocks, the integrability residual and the Nijenhuis tensor are
-    checked in coordinates; the last two share the first partials of
-    ``J_bar`` with ``nabla J``.
+    blocks and the Nijenhuis tensor are checked in coordinates; the
+    latter shares the first partials of ``J_bar`` with ``nabla J``.
 
     Each stencil point is evaluated once, one call per factor on the
     stack of points.  Along each axis the 18 points of the pure
@@ -507,7 +503,7 @@ def compare_with_algebraic(
     f1 = fields1(coords[:m])
     f2 = fields2(coords[m:])
     g_bar = product_metric(f1, f2, params)
-    require_spd(g_bar)
+    require_spd(g_bar, "chart product metric")
     g_inv = np.linalg.inv(g_bar)
     j_bar = product_complex_structure(f1, f2, params)
 
@@ -543,6 +539,5 @@ def compare_with_algebraic(
         ricci_star=float(np.abs(change_frame(frame, ricci_star) - model.ricci_star_bar).max()),
         connection=float(np.abs(gamma_first - prediction).max()),
         nabla_j=float(np.abs(change_frame(frame, nabla_j) - model.nabla_j).max()),
-        integrability=integrability_residual(nabla_j, j_bar),
         nijenhuis=float(np.abs(_nijenhuis(j_bar, dj)).max()),
     )

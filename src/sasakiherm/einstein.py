@@ -51,9 +51,6 @@ class StructuralConditions:
     def failing(self) -> tuple[str, ...]:
         return tuple(f.name for f in fields(self) if not getattr(self, f.name))
 
-    def all_hold(self) -> bool:
-        return not self.failing()
-
 
 # what each structural condition measures, in field order
 DISTANCES = ("|a|", "|p - b^2 q|", "factor max |Ric - 2p g|",
@@ -159,7 +156,7 @@ def einstein_verdict(
             distances = (abs(a), abs(p - b * b * q), *fits)
             conditions = StructuralConditions(*(distance <= tol for distance in distances))
             residual_says = residual <= tol
-            structure_says = conditions.all_hold()
+            structure_says = not conditions.failing()
             if structure_says != residual_says:
                 raise ConsistencyError(
                     "structural and residual Einstein verdicts disagree: "

@@ -125,14 +125,6 @@ class ProductHermitianModel:
         )
 
     @property
-    def p(self) -> int:
-        return self.factor.n
-
-    @property
-    def q(self) -> int:
-        return self.factor_prime.n
-
-    @property
     def dim(self) -> int:
         return self.factor.dim + self.factor_prime.dim
 

@@ -132,46 +132,28 @@ def adapted_frame(metric: np.ndarray, phi: np.ndarray, xi: np.ndarray) -> np.nda
     """Structure-adapted orthonormal frame for an almost contact metric triple.
 
     Returns a matrix whose columns are ``[v_1, phi v_1, ..., v_n, phi v_n, xi^]``
-    where ``xi^`` is the normalized Reeb vector and each pair spans a
-    phi-invariant plane orthogonal to everything built before it.  Relies
-    on the compatibility ``g(phi X, phi Y) = g(X, Y) - eta(X) eta(Y)``,
-    which makes ``phi v`` automatically unit and orthogonal to the
-    previously accepted vectors.
+    with ``xi^`` the normalized Reeb vector.  With ``metric = L L^T``, the
+    coordinates ``y = L^T x`` are orthonormal, and there ``phi`` is the
+    skew matrix ``L^T phi L^-T`` with kernel ``L^T xi``.  The eigenvectors of the
+    Hermitian matrix ``i phi`` of eigenvalue ``+1`` are exactly
+    ``(v + i phi v) / sqrt(2)`` over a phi-adapted orthonormal basis, so
+    one ``eigh`` gives every pair as ``sqrt(2)`` times the real and the
+    imaginary part of its eigenvector.
     """
     g = np.asarray(metric, dtype=float)
-    n = g.shape[0]
-    if n % 2 == 0:
-        raise ValueError(f"adapted frames need odd dimension, got {n}")
-    xi_norm2 = float(xi @ g @ xi)
-    if xi_norm2 <= 0.0:
-        raise IndefiniteMetricError("Reeb vector has nonpositive norm")
-    xi_hat = xi / np.sqrt(xi_norm2)
-    cols: list[np.ndarray] = []
-
-    def reject(v: np.ndarray) -> np.ndarray:
-        v = v - (xi_hat @ g @ v) * xi_hat
-        for w in cols:
-            v = v - (w @ g @ v) * w
-        return v
-
-    k = 0
-    while len(cols) < n - 1:
-        if k >= n:
-            raise SingularMetricError("could not complete an adapted frame")
-        v = reject(np.eye(n)[:, k])
-        k += 1
-        norm2 = float(v @ g @ v)
-        if norm2 <= 1e-12:
-            continue
-        v = v / np.sqrt(norm2)
-        cols.append(v)
-        w = reject(phi @ v)
-        w_norm2 = float(w @ g @ w)
-        if w_norm2 <= 1e-12:
-            raise SingularMetricError("phi-partner of a frame vector degenerated")
-        cols.append(w / np.sqrt(w_norm2))
-    cols.append(xi_hat)
-    return np.column_stack(cols)
+    dim = g.shape[0]
+    if dim % 2 == 0:
+        raise ValueError(f"adapted frames need odd dimension, got {dim}")
+    lower = np.linalg.cholesky(g)
+    phi_on = lower.T @ np.linalg.solve(lower, phi.T).T
+    # eigh sorts the spectrum ascending: n times -1, then 0, then n times +1
+    pairs = np.sqrt(2.0) * np.linalg.eigh(1j * phi_on)[1][:, dim // 2 + 1:]
+    frame = np.empty((dim, dim))
+    frame[:, 0:-1:2] = pairs.real
+    frame[:, 1:-1:2] = pairs.imag
+    frame[:, :-1] = np.linalg.solve(lower.T, frame[:, :-1])
+    frame[:, -1] = xi / np.sqrt(xi @ g @ xi)
+    return frame
 
 
 def curvature_symmetry_residuals(tensor: np.ndarray) -> dict[str, float]:

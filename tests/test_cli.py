@@ -338,8 +338,9 @@ class TestCommands:
         def refuse(*args, **kwargs):
             raise AssertionError(f"{argv[0]} called numpy.linalg")
 
-        for name in ("inv", "eigvalsh"):
-            monkeypatch.setattr(np.linalg, name, refuse)
+        for name in np.linalg.__all__:
+            if not isinstance(getattr(np.linalg, name), type):  # LinAlgError stays
+                monkeypatch.setattr(np.linalg, name, refuse)
         exit_code, out, _ = run_cli(argv, capsys)
         assert exit_code == code
         assert json.loads(out)["checks"]
@@ -504,9 +505,11 @@ class TestExitCodes:
             ("scan", "--b", "x", "needs numbers"),
             ("oracle-compare", "--p", "0", "need at least one phi-pair, got 0"),
             ("oracle-compare", "--q", "-1", "need at least one phi-pair, got -1"),
-            # a valid factor whose chart metric has eigenvalue ratio 6e-16
+            # valid factors whose chart metric has eigenvalue ratio 6e-16 or -2e-16
             ("oracle-compare", "--factor-prime", "space-form:-2.9999999",
-             "metric is singular (eigenvalues "),
+             "error: chart product metric is singular (eigenvalues "),
+            ("oracle-compare", "--factor", "deformed:1e100",
+             "error: chart product metric is singular (eigenvalues "),
         ):
             code, out, err = run_cli([command, "--p", "1", "--q", "1", flag, value], capsys)
             assert code == 2

@@ -220,6 +220,28 @@ class TestAdaptedFrame:
             npt.assert_allclose(phi @ frame[:, 2 * k], frame[:, 2 * k + 1], atol=1e-13)
         npt.assert_allclose(frame[:, -1], xi / np.sqrt(xi @ g @ xi), atol=1e-14)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 10])
+    def test_conjugated_standard_structures(self, rng, n):
+        # g = P^-T P^-1, phi = P phi0 P^-1 and xi = P xi0 form an almost
+        # contact metric structure for every invertible P, with phi-planes
+        # that no coordinate axis lies in
+        dim = 2 * n + 1
+        phi0 = np.zeros((dim, dim))
+        phi0[1:-1:2, 0:-1:2] = np.eye(n)
+        phi0[0:-1:2, 1:-1:2] = -np.eye(n)
+        eps = np.finfo(float).eps
+        for _ in range(20):
+            p = rng.normal(size=(dim, dim))
+            p_inv = np.linalg.inv(p)
+            g = symmetrize(p_inv.T @ p_inv)
+            phi, xi = p @ phi0 @ p_inv, p[:, -1]
+            frame = adapted_frame(g, phi, xi)
+            tol = 64 * eps * np.linalg.cond(g)
+            npt.assert_allclose(frame.T @ g @ frame, np.eye(dim), rtol=0, atol=tol)
+            npt.assert_allclose(phi @ frame[:, 0:-1:2], frame[:, 1:-1:2],
+                                rtol=0, atol=tol * np.abs(frame).max())
+            npt.assert_allclose(frame[:, -1], xi / np.sqrt(xi @ g @ xi), rtol=4 * eps, atol=0)
+
     def test_even_dimension_rejected(self):
         with pytest.raises(ValueError):
             adapted_frame(np.eye(4), np.zeros((4, 4)), np.ones(4))
