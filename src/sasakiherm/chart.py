@@ -58,15 +58,18 @@ _SAMPLE_RADIUS = 0.8
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StencilConfig:
-    """Step of the one stencil used for every field derivative."""
+# The one step ``h`` of every stencil.
+_STEP = 1e-3
 
-    step: float = 1e-3
 
-    def __post_init__(self):
-        if not (np.isfinite(self.step) and self.step > 0.0):
-            raise InvalidParameterError(f"stencil step must be positive and finite, got {self.step}")
+def _folded(offsets: np.ndarray, weights: np.ndarray, order: int) -> tuple:
+    """A stencil's displacements at ``h/2``, then at ``h``, and the coefficients that
+    take the values there to the Richardson extrapolation in one contraction."""
+    displacements = np.concatenate([offsets * (_STEP / 2.0), offsets * _STEP])
+    coef = np.concatenate(
+        [16.0 * weights / (6.0 * _STEP) ** order, -weights / (12.0 * _STEP) ** order]
+    )
+    return displacements, coef / 15.0
 
 
 # The order-4 central stencil of a first derivative, as unit offsets and
@@ -75,15 +78,13 @@ class StencilConfig:
 # the 9 distinct offset sums with their weights added up.
 _OFFSETS = np.array([2.0, 1.0, -1.0, -2.0])
 _WEIGHTS = np.array([-1.0, 8.0, -8.0, 1.0])
-_FIRST = (_OFFSETS[:, None], _WEIGHTS, 1)
-_MIXED = (
-    np.stack(np.meshgrid(_OFFSETS, _OFFSETS, indexing="ij"), axis=-1).reshape(-1, 2),
-    np.outer(_WEIGHTS, _WEIGHTS).ravel(),
-    2,
-)
-_PURE = (
+_PAIR_OFFSETS = np.stack(np.meshgrid(_OFFSETS, _OFFSETS, indexing="ij"), axis=-1).reshape(-1, 2)
+_PAIR_WEIGHTS = np.outer(_WEIGHTS, _WEIGHTS).ravel()
+_FIRST = _folded(_OFFSETS[:, None], _WEIGHTS, 1)
+_MIXED = _folded(_PAIR_OFFSETS, _PAIR_WEIGHTS, 2)
+_PURE = _folded(
     np.arange(4.0, -5.0, -1.0)[:, None],
-    np.bincount((4.0 - _MIXED[0].sum(axis=1)).astype(int), weights=_MIXED[1]),
+    np.bincount((4.0 - _PAIR_OFFSETS.sum(axis=1)).astype(int), weights=_PAIR_WEIGHTS),
     2,
 )
 
@@ -94,44 +95,42 @@ _PURE = (
 _FIRST_ROWS = np.concatenate([4.0 - _OFFSETS, 13.0 - _OFFSETS]).astype(int)
 
 
-def _stencil_points(u: np.ndarray, axes: list, stencil: tuple, h: float) -> np.ndarray:
-    """The offsets of a stencil at ``h/2``, then at ``h``, as one stack of points."""
-    offsets = stencil[0]
-    points = np.repeat(u[None, :], 2 * len(offsets), axis=0)
-    points[:, axes] += np.concatenate([offsets * (h / 2.0), offsets * h])
+def _stencil_points(u: np.ndarray, axes: list, stencil: tuple) -> np.ndarray:
+    """``u`` moved by each of a stencil's displacements, as one stack of points."""
+    displacements = stencil[0]
+    points = np.repeat(u[None, :], len(displacements), axis=0)
+    points[:, axes] += displacements
     return points
 
 
-def _contract(stencil: tuple, h: float, values) -> np.ndarray:
+def _contract(stencil: tuple, values) -> np.ndarray:
     """A field's values on a stencil's points, Richardson-extrapolated one order higher.
 
-    The extrapolation is folded into the weights, which one contraction
-    applies.
+    The extrapolation is folded into the stencil's coefficients, computed
+    once at import, so this is one contraction.
     """
-    _, weights, order = stencil
-    coef = np.concatenate([16.0 * weights / (6.0 * h) ** order, -weights / (12.0 * h) ** order])
-    return np.tensordot(coef / 15.0, np.asarray(values, dtype=float), axes=1)
+    return np.tensordot(stencil[1], np.asarray(values, dtype=float), axes=1)
 
 
-def _richardson(f: Callable, u: np.ndarray, axes: list, stencil: tuple, h: float) -> np.ndarray:
+def _richardson(f: Callable, u: np.ndarray, axes: list, stencil: tuple) -> np.ndarray:
     """One stencil at ``h/2`` and ``h`` in one call of ``f``, Richardson-extrapolated."""
-    return _contract(stencil, h, f(_stencil_points(u, axes, stencil, h)))
+    return _contract(stencil, f(_stencil_points(u, axes, stencil)))
 
 
-def partial_derivatives(f: Callable, u: np.ndarray, cfg: StencilConfig) -> np.ndarray:
+def partial_derivatives(f: Callable, u: np.ndarray) -> np.ndarray:
     """All first partials of a field that maps ``(..., n)`` points to ``(..., *shape)``.
 
     Returns ``out[i] = d f / d u_i``: the order-4 central stencil at
-    ``h`` and ``h/2``, Richardson-extrapolated one order higher, with the
-    8 offsets of one axis evaluated in one call.  The field is never
-    evaluated at ``u`` itself.
+    ``h = _STEP`` and ``h/2``, Richardson-extrapolated one order higher,
+    with the 8 offsets of one axis evaluated in one call.  The field is
+    never evaluated at ``u`` itself.
     """
     u = np.asarray(u, dtype=float)
-    return np.stack([_richardson(f, u, [i], _FIRST, cfg.step) for i in range(u.size)])
+    return np.stack([_richardson(f, u, [i], _FIRST) for i in range(u.size)])
 
 
 def _two_jet(
-    f: Callable, u: np.ndarray, cfg: StencilConfig, axis_field: Callable | None = None
+    f: Callable, u: np.ndarray, axis_field: Callable | None = None
 ) -> tuple[np.ndarray, np.ndarray, list]:
     """First and second partials of a field, one call per axis and one per pair.
 
@@ -147,17 +146,17 @@ def _two_jet(
     of those further stacks, one sequence per stack, indexed by axis.
     """
     u = np.asarray(u, dtype=float)
-    n, h = u.size, cfg.step
+    n = u.size
     axis_field = axis_field or (lambda i, points: (f(points),))
     first: list[list] = []
     second: list[list] = [[None] * n for _ in range(n)]
     for i in range(n):
-        stacks = axis_field(i, _stencil_points(u, [i], _PURE, h))
+        stacks = axis_field(i, _stencil_points(u, [i], _PURE))
         values = [np.asarray(v, dtype=float) for v in stacks]
-        first.append([_contract(_FIRST, h, v[_FIRST_ROWS]) for v in values])
-        second[i][i] = _contract(_PURE, h, values[0])
+        first.append([_contract(_FIRST, v[_FIRST_ROWS]) for v in values])
+        second[i][i] = _contract(_PURE, values[0])
         for j in range(i + 1, n):
-            second[i][j] = second[j][i] = _richardson(f, u, [i, j], _MIXED, h)
+            second[i][j] = second[j][i] = _richardson(f, u, [i, j], _MIXED)
     firsts = list(zip(*first))
     return np.stack(firsts[0]), np.array(second), firsts[1:]
 
@@ -267,9 +266,6 @@ class FactorChart:
         """Metric field values at ``(..., dim)`` chart points."""
         return self.fields(u).metric
 
-    def metric_field(self) -> Callable[[np.ndarray], np.ndarray]:
-        return self.metric_at
-
 
 # ---------------------------------------------------------------------------
 # finite-difference geometry
@@ -281,9 +277,9 @@ def _first_kind(dg: np.ndarray) -> np.ndarray:
     return 0.5 * (dg + np.einsum("...jik->...ijk", dg) - np.einsum("...kij->...ijk", dg))
 
 
-def christoffels_fd(metric_field: Callable, u: np.ndarray, cfg: StencilConfig) -> np.ndarray:
+def christoffels_fd(metric_field: Callable, u: np.ndarray) -> np.ndarray:
     """Second-kind symbols ``Gamma^k_{ij}``, indexed ``[k, i, j]``, from a stencil of the metric."""
-    first = _first_kind(partial_derivatives(metric_field, u, cfg))
+    first = _first_kind(partial_derivatives(metric_field, u))
     return np.einsum("kl,ijl->kij", np.linalg.inv(metric_field(u)), first)
 
 
@@ -314,7 +310,7 @@ def _riemann_from_jet(
     return np.einsum("lm,mijk->ijkl", g, r_up), first, gamma
 
 
-def riemann_fd(metric_field: Callable, u: np.ndarray, cfg: StencilConfig) -> np.ndarray:
+def riemann_fd(metric_field: Callable, u: np.ndarray) -> np.ndarray:
     """Fully covariant curvature of a metric field from its stencil 2-jet.
 
     Returns ``R[i, j, k, l] = g(R(d_i, d_j) d_k, d_l)`` in the package
@@ -322,12 +318,12 @@ def riemann_fd(metric_field: Callable, u: np.ndarray, cfg: StencilConfig) -> np.
     plus one.
     """
     u = np.asarray(u, dtype=float)
-    dg, ddg, _ = _two_jet(metric_field, u, cfg)
+    dg, ddg, _ = _two_jet(metric_field, u)
     g = np.asarray(metric_field(u), dtype=float)
     return _riemann_from_jet(g, np.linalg.inv(g), dg, ddg)[0]
 
 
-def nijenhuis_fd(j_field: Callable, u: np.ndarray, cfg: StencilConfig) -> np.ndarray:
+def nijenhuis_fd(j_field: Callable, u: np.ndarray) -> np.ndarray:
     """Nijenhuis tensor of an almost complex structure field.
 
     For coordinate fields the brackets reduce to derivatives of the
@@ -337,7 +333,7 @@ def nijenhuis_fd(j_field: Callable, u: np.ndarray, cfg: StencilConfig) -> np.nda
     Vanishing of the result (to stencil accuracy) certifies
     integrability from first principles.
     """
-    return _nijenhuis(np.asarray(j_field(u), dtype=float), partial_derivatives(j_field, u, cfg))
+    return _nijenhuis(np.asarray(j_field(u), dtype=float), partial_derivatives(j_field, u))
 
 
 def _nijenhuis(j: np.ndarray, dj: np.ndarray) -> np.ndarray:
@@ -472,7 +468,6 @@ def compare_with_algebraic(
     params: HermitianParams,
     model: ProductHermitianModel,
     coords: np.ndarray,
-    cfg: StencilConfig,
 ) -> OracleComparison:
     """Stencil-differentiate the product fields and compare to the model.
 
@@ -517,7 +512,7 @@ def compare_with_algebraic(
             moving.metric,
         )
 
-    dg, ddg, (dj, dfactor) = _two_jet(metric_fn, coords, cfg, axis_fields)
+    dg, ddg, (dj, dfactor) = _two_jet(metric_fn, coords, axis_fields)
     dj = np.stack(dj)
     r4, gamma_first, gamma = _riemann_from_jet(g_bar, g_inv, dg, ddg)
     ricci = contract_trace(r4, g_inv)

@@ -367,8 +367,9 @@ _SCAN_CHECKS = {  # --check value -> (anchor, residuals of a grid of (a, b) cell
 
 
 MAX_SCAN_CELLS = 10**5
-# Each sample point costs one oracle comparison: about 6 ms at N = 6 and
-# 0.7 s at N = 22, nearly all of it in the unordered star-Ricci trace.
+# Each sample point costs one oracle comparison (one BLAS thread): at
+# N = 22 about 0.75 s, over 80% of it in the unordered star-Ricci trace;
+# at N = 6 about 5 ms, bound by numpy dispatch, the trace taking 0.5 ms.
 MAX_ORACLE_POINTS = 10**4
 # At this bound one rank-4 tensor of the product (N = 42) takes 25 MB.
 MAX_PHI_PAIRS = 10
@@ -415,7 +416,6 @@ def _run_oracle_compare(args) -> tuple[list[CheckRecord], dict]:
     from .chart import (
         FactorChart,
         SphereChart,
-        StencilConfig,
         compare_with_algebraic,
         sample_chart_points,
     )
@@ -438,9 +438,7 @@ def _run_oracle_compare(args) -> tuple[list[CheckRecord], dict]:
     dim = factor_chart.dim + factor_chart_prime.dim
     checks = []
     for index, point in enumerate(sample_chart_points(rng, dim, count=args.points)):
-        comparison = compare_with_algebraic(
-            factor_chart, factor_chart_prime, params, model, point, StencilConfig()
-        )
+        comparison = compare_with_algebraic(factor_chart, factor_chart_prime, params, model, point)
         checks += _table_checks(_ORACLE_CHECKS, comparison, name=f"{{}}[{index}]")
     return checks, {}
 

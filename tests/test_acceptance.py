@@ -19,7 +19,6 @@ import pytest
 from sasakiherm.chart import (
     FactorChart,
     SphereChart,
-    StencilConfig,
     christoffels_fd,
     compare_with_algebraic,
     nijenhuis_fd,
@@ -52,7 +51,6 @@ from sasakiherm.sasakian import (
     verify_sasakian_curvature_identities,
 )
 
-CFG = StencilConfig()
 
 CRITERION_1_GRID = [
     (p, q, a, b)
@@ -88,7 +86,7 @@ def test_criterion_1_integrability():
         _, j_fn = product_field_functions(*charts, HermitianParams(0.5, 1.5))
         dim = charts[0].dim + charts[1].dim
         for point in sample_chart_points(rng, dim, count=20):
-            worst_fd = max(worst_fd, float(np.abs(nijenhuis_fd(j_fn, point, CFG)).max()))
+            worst_fd = max(worst_fd, float(np.abs(nijenhuis_fd(j_fn, point)).max()))
     elapsed = time.perf_counter() - start
 
     ok = worst_algebraic <= 1e-12 and worst_fd <= 1e-5 and elapsed < 60.0
@@ -114,7 +112,7 @@ def test_criterion_2_oracle_equivalence():
             params = HermitianParams(a, b)
             model = build_product_model(factor, factor, params)
             for point in sample_chart_points(rng, 6, count=2):
-                comparison = compare_with_algebraic(chart, chart, params, model, point, CFG)
+                comparison = compare_with_algebraic(chart, chart, params, model, point)
                 for key in worst:
                     worst[key] = max(worst[key], getattr(comparison, key))
     elapsed = time.perf_counter() - start
@@ -298,14 +296,14 @@ def _field_identity_residual(factor_chart, rng, points=2):
     ident = np.eye(dim)
     for point in sample_chart_points(rng, dim, count=points):
         fields = factor_chart.fields(point)
-        gamma = christoffels_fd(factor_chart.metric_field(), point, CFG)
-        dxi = partial_derivatives(lambda v: factor_chart.fields(v).xi, point, CFG)
+        gamma = christoffels_fd(factor_chart.metric_at, point)
+        dxi = partial_derivatives(lambda v: factor_chart.fields(v).xi, point)
         nabla_xi = np.einsum("im->mi", dxi) + np.einsum("mil,l->mi", gamma, fields.xi)
         worst = max(worst, float(np.abs(nabla_xi + fields.phi).max()))
-        deta = partial_derivatives(lambda v: factor_chart.fields(v).eta, point, CFG)
+        deta = partial_derivatives(lambda v: factor_chart.fields(v).eta, point)
         nabla_eta = deta - np.einsum("lij,l->ij", gamma, fields.eta)
         worst = max(worst, float(np.abs(nabla_eta + fields.phi.T @ fields.metric).max()))
-        dphi = partial_derivatives(lambda v: factor_chart.fields(v).phi, point, CFG)
+        dphi = partial_derivatives(lambda v: factor_chart.fields(v).phi, point)
         nabla_phi = (
             np.einsum("imj->mij", dphi)
             + np.einsum("mil,lj->mij", gamma, fields.phi)
@@ -322,7 +320,7 @@ def _curvature_identity_residual(factor_chart, rng):
     """FD residuals of the Reeb curvature and Reeb Ricci identities."""
     point = sample_chart_points(rng, factor_chart.dim, count=1)[0]
     fields = factor_chart.fields(point)
-    riemann = riemann_fd(factor_chart.metric_field(), point, CFG)
+    riemann = riemann_fd(factor_chart.metric_at, point)
     reeb = np.einsum("xyzw,z->xyw", riemann, fields.xi)
     target = np.einsum("y,xw->xyw", fields.eta, fields.metric) - np.einsum(
         "x,yw->xyw", fields.eta, fields.metric

@@ -1,6 +1,9 @@
 """Stereographic charts, stencil differentiation, and the oracle comparison."""
 
 import dataclasses
+import inspect
+from math import factorial
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -12,7 +15,6 @@ import sasakiherm.sasakian
 from sasakiherm.chart import (
     FactorChart,
     SphereChart,
-    StencilConfig,
     canonical_sasakian_fields,
     christoffels_fd,
     compare_with_algebraic,
@@ -43,7 +45,6 @@ from sasakiherm.tensors import adapted_frame, contract_trace
 
 from conftest import sectional_curvature
 
-CFG = StencilConfig()
 
 
 def round_metric(chart):
@@ -51,12 +52,12 @@ def round_metric(chart):
     return lambda u: canonical_sasakian_fields(chart, u).metric
 
 
-def riemann_nested(metric_field, u, cfg):
+def riemann_nested(metric_field, u):
     """Reference curvature: a stencil of the Christoffel symbols, each taken
     from a stencil of the metric at one outer stencil point."""
-    gamma_field = lambda v: np.array([christoffels_fd(metric_field, w, cfg) for w in v])
-    gamma = christoffels_fd(metric_field, u, cfg)
-    dgamma = partial_derivatives(gamma_field, u, cfg)  # [d, m, j, k] = d_d Gamma^m_{jk}
+    gamma_field = lambda v: np.array([christoffels_fd(metric_field, w) for w in v])
+    gamma = christoffels_fd(metric_field, u)
+    dgamma = partial_derivatives(gamma_field, u)  # [d, m, j, k] = d_d Gamma^m_{jk}
     r_up = (
         np.einsum("imjk->mijk", dgamma)
         - np.einsum("jmik->mijk", dgamma)
@@ -66,16 +67,55 @@ def riemann_nested(metric_field, u, cfg):
     return np.einsum("lm,mijk->ijkl", metric_field(u), r_up)
 
 
-def test_stencil_config_validation():
-    for step in (0.0, -1e-3, np.nan, np.inf):
-        with pytest.raises(InvalidParameterError, match="positive and finite"):
-            StencilConfig(step=step)
+def test_stencil_step_is_the_documented_constant():
+    assert sasakiherm.chart._STEP == 1e-3
+    assert "`h` is `1e-3`" in (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def test_the_step_is_no_parameter():
+    assert not hasattr(sasakiherm.chart, "StencilConfig")
+    for fn in (
+        partial_derivatives, christoffels_fd, riemann_fd, nijenhuis_fd, compare_with_algebraic
+    ):
+        assert not {"cfg", "step"} & set(inspect.signature(fn).parameters), fn.__name__
+
+
+def _moments(stencil, order, powers):
+    """``sum c d^k / k!`` of a stencil in units of the step, one entry per power tuple."""
+    h = sasakiherm.chart._STEP
+    displacements, coefficients = stencil
+    d, c = displacements / h, coefficients * h**order
+    return {k: float(c @ np.prod(d**k / [factorial(a) for a in k], axis=1)) for k in powers}
+
+
+@pytest.mark.parametrize("name,order", [("_FIRST", 1), ("_PURE", 2)])
+def test_folded_axis_stencils_are_order_six(name, order):
+    """Richardson over the order-4 stencil at ``h`` and ``h/2`` cancels the
+    ``h^4`` term too: every moment below ``order + 6`` is exact, and the next
+    one is not."""
+    moments = _moments(getattr(sasakiherm.chart, name), order, [(k,) for k in range(order + 7)])
+    leading = moments.pop((order + 6,))
+    for (k,), value in moments.items():
+        assert abs(value - (k == order)) <= 1e-10, (k, value)
+    assert leading == pytest.approx(order / 5040, rel=1e-6)
+
+
+def test_folded_mixed_stencil_is_order_six():
+    """Every moment of total degree below 8 is exact, so the ``h^4`` terms
+    ``(1, 5)`` and ``(5, 1)``, which the plain order-4 product stencil keeps,
+    cancel; ``(1, 7)`` does not."""
+    powers = [(a, b) for a in range(8) for b in range(8) if a + b <= 7]
+    moments = _moments(sasakiherm.chart._MIXED, 2, powers + [(1, 7)])
+    leading = moments.pop((1, 7))
+    for (a, b), value in moments.items():
+        assert abs(value - ((a, b) == (1, 1))) <= 1e-10, (a, b, value)
+    assert leading == pytest.approx(1 / 5040, rel=1e-6)
 
 
 def test_partial_derivatives_on_polynomial():
     f = lambda u: np.stack([u[..., 0] ** 3 * u[..., 1], np.sin(u[..., 1])], axis=-1)
     u = np.array([0.3, -0.4])
-    d = partial_derivatives(f, u, CFG)
+    d = partial_derivatives(f, u)
     npt.assert_allclose(d[0], [3 * 0.3**2 * (-0.4), 0.0], atol=1e-11)
     npt.assert_allclose(d[1], [0.3**3, np.cos(-0.4)], atol=1e-11)
 
@@ -86,7 +126,7 @@ def test_second_partial_derivatives_on_polynomial():
         axis=-1,
     )
     x, y, z = u = np.array([0.3, -0.4, 0.7])
-    d2 = _two_jet(f, u, CFG)[1]
+    d2 = _two_jet(f, u)[1]
     expected = np.array(
         [
             [[6 * x * y, 2 * y * y * z], [3 * x * x, 4 * x * y * z], [0.0, 2 * x * y * y]],
@@ -118,7 +158,7 @@ class TestSphereChart:
     def test_jacobian_matches_finite_differences(self, rng):
         chart = SphereChart(4)
         u = sample_chart_points(rng, 3, count=1)[0]
-        fd = partial_derivatives(lambda v: _stereographic(chart, v)[0], u, CFG)
+        fd = partial_derivatives(lambda v: _stereographic(chart, v)[0], u)
         npt.assert_allclose(np.einsum("ia->ai", fd), _stereographic(chart, u)[1], atol=1e-11)
 
     def test_domain_errors(self):
@@ -167,7 +207,7 @@ class TestPullbackMetric:
         # oracle: differentiate the embedding itself and form J^T J
         chart = SphereChart(6)
         u = sample_chart_points(rng, 5, count=1)[0]
-        fd = partial_derivatives(lambda v: _stereographic(chart, v)[0], u, CFG)
+        fd = partial_derivatives(lambda v: _stereographic(chart, v)[0], u)
         jac = np.einsum("ia->ai", fd)
         npt.assert_allclose(jac.T @ jac, canonical_sasakian_fields(chart, u).metric, atol=1e-11)
 
@@ -195,8 +235,8 @@ class TestCanonicalFields:
         # nabla_X xi = -phi X, stencil-differentiated
         factor = FactorChart(SphereChart(4), alpha=alpha)
         for point in sample_chart_points(rng, 3, count=5):
-            gamma = christoffels_fd(factor.metric_field(), point, CFG)
-            dxi = partial_derivatives(lambda v: factor.fields(v).xi, point, CFG)
+            gamma = christoffels_fd(factor.metric_at, point)
+            dxi = partial_derivatives(lambda v: factor.fields(v).xi, point)
             fields = factor.fields(point)
             nabla_xi = np.einsum("im->mi", dxi) + np.einsum("mil,l->mi", gamma, fields.xi)
             npt.assert_allclose(nabla_xi, -fields.phi, atol=1e-6)
@@ -206,8 +246,8 @@ class TestCanonicalFields:
         # (nabla_X phi) Y = g(X, Y) xi - eta(Y) X, stencil-differentiated
         factor = FactorChart(SphereChart(4), alpha=alpha)
         for point in sample_chart_points(rng, 3, count=5):
-            gamma = christoffels_fd(factor.metric_field(), point, CFG)
-            dphi = partial_derivatives(lambda v: factor.fields(v).phi, point, CFG)
+            gamma = christoffels_fd(factor.metric_at, point)
+            dphi = partial_derivatives(lambda v: factor.fields(v).phi, point)
             f = factor.fields(point)
             nabla_phi = (
                 np.einsum("imj->mij", dphi)
@@ -224,7 +264,7 @@ class TestCanonicalFields:
         # d eta(X, Y) = g(X, phi Y) with the half-factor exterior derivative
         factor = FactorChart(SphereChart(6), alpha=alpha)
         for point in sample_chart_points(rng, 5, count=5):
-            deta = partial_derivatives(lambda v: factor.fields(v).eta, point, CFG)
+            deta = partial_derivatives(lambda v: factor.fields(v).eta, point)
             f = factor.fields(point)
             lhs = 0.5 * (deta - deta.T)
             npt.assert_allclose(lhs, f.metric @ f.phi, atol=1e-6)
@@ -248,8 +288,8 @@ class TestCanonicalFields:
         # (nabla_X eta)(Y) = -g(phi X, Y)
         factor = FactorChart(SphereChart(4))
         for point in sample_chart_points(rng, 3, count=5):
-            gamma = christoffels_fd(factor.metric_field(), point, CFG)
-            deta = partial_derivatives(lambda v: factor.fields(v).eta, point, CFG)
+            gamma = christoffels_fd(factor.metric_at, point)
+            deta = partial_derivatives(lambda v: factor.fields(v).eta, point)
             f = factor.fields(point)
             nabla_eta = deta - np.einsum("lij,l->ij", gamma, f.eta)
             npt.assert_allclose(nabla_eta, -(f.phi.T @ f.metric), atol=1e-6)
@@ -275,21 +315,21 @@ def test_chart_fields_and_factor_models_share_one_record(rng):
 class TestChristoffels:
     def test_flat_metric_gives_zero(self):
         flat = lambda u: np.broadcast_to(np.eye(3), u.shape[:-1] + (3, 3))
-        gamma = christoffels_fd(flat, np.array([0.1, 0.2, -0.3]), CFG)
+        gamma = christoffels_fd(flat, np.array([0.1, 0.2, -0.3]))
         npt.assert_allclose(gamma, 0.0, atol=1e-12)
 
     def test_sphere_chart_origin(self):
         # the conformal factor is critical at the origin, so all symbols vanish
         chart = SphereChart(4)
-        gamma = christoffels_fd(round_metric(chart), np.zeros(3), CFG)
+        gamma = christoffels_fd(round_metric(chart), np.zeros(3))
         npt.assert_allclose(gamma, 0.0, atol=1e-12)
 
     def test_metric_compatibility(self, rng):
         chart = SphereChart(4)
         metric_field = round_metric(chart)
         point = sample_chart_points(rng, 3, count=1)[0]
-        gamma = christoffels_fd(metric_field, point, CFG)
-        dg = partial_derivatives(metric_field, point, CFG)
+        gamma = christoffels_fd(metric_field, point)
+        dg = partial_derivatives(metric_field, point)
         g = metric_field(point)
         compat = dg - np.einsum("lki,lj->kij", gamma, g) - np.einsum("lkj,il->kij", gamma, g)
         npt.assert_allclose(compat, 0.0, atol=1e-7)
@@ -297,7 +337,7 @@ class TestChristoffels:
     def test_lower_index_symmetry(self, rng):
         chart = SphereChart(6)
         point = sample_chart_points(rng, 5, count=1)[0]
-        gamma = christoffels_fd(round_metric(chart), point, CFG)
+        gamma = christoffels_fd(round_metric(chart), point)
         npt.assert_allclose(gamma, np.einsum("kji->kij", gamma), atol=1e-9)
 
 
@@ -306,7 +346,7 @@ class TestRiemannFD:
         chart = SphereChart(4)
         point = sample_chart_points(rng, 3, count=1)[0]
         metric_field = round_metric(chart)
-        riemann = riemann_fd(metric_field, point, CFG)
+        riemann = riemann_fd(metric_field, point)
         for _ in range(5):
             x, y = rng.normal(size=(2, 3))
             assert sectional_curvature(riemann, metric_field(point), x, y) == pytest.approx(
@@ -317,9 +357,9 @@ class TestRiemannFD:
     def test_matches_nested_christoffel_stencils(self, rng, q, alpha):
         factor_chart = FactorChart(SphereChart(2 * q + 2), alpha=alpha)
         point = sample_chart_points(rng, factor_chart.dim, count=1)[0]
-        metric_field = factor_chart.metric_field()
+        metric_field = factor_chart.metric_at
         npt.assert_allclose(
-            riemann_fd(metric_field, point, CFG), riemann_nested(metric_field, point, CFG),
+            riemann_fd(metric_field, point), riemann_nested(metric_field, point),
             rtol=0, atol=1e-8,
         )
 
@@ -334,12 +374,12 @@ class TestRiemannFD:
             rows.append(u.reshape(-1, dim).shape[0])
             return np.eye(dim) + u[..., :, None] * u[..., None, :]
 
-        riemann_fd(metric_field, np.full(dim, 0.1), CFG)
+        riemann_fd(metric_field, np.full(dim, 0.1))
         assert sum(rows) == evaluations
 
     def test_flat_chart_curvature_vanishes(self):
         flat = lambda u: np.broadcast_to(np.eye(4), u.shape[:-1] + (4, 4))
-        riemann = riemann_fd(flat, np.full(4, 0.2), CFG)
+        riemann = riemann_fd(flat, np.full(4, 0.2))
         npt.assert_allclose(riemann, 0.0, atol=1e-8)
 
     def test_five_sphere_is_einstein(self, rng):
@@ -347,7 +387,7 @@ class TestRiemannFD:
         point = sample_chart_points(rng, 5, count=1)[0]
         metric_field = round_metric(chart)
         ricci = contract_trace(
-            riemann_fd(metric_field, point, CFG), np.linalg.inv(metric_field(point))
+            riemann_fd(metric_field, point), np.linalg.inv(metric_field(point))
         )
         npt.assert_allclose(ricci, 4.0 * metric_field(point), atol=1e-4)
 
@@ -358,7 +398,7 @@ class TestRiemannFD:
         factor_chart = FactorChart(SphereChart(2 * q + 2), alpha=alpha)
         point = sample_chart_points(rng, factor_chart.dim, count=1)[0]
         fields = factor_chart.fields(point)
-        riemann = riemann_fd(factor_chart.metric_field(), point, CFG)
+        riemann = riemann_fd(factor_chart.metric_at, point)
         frame = adapted_frame(fields.metric, fields.phi, fields.xi)
         riemann = np.einsum("ia,jb,kc,ld,ijkl->abcd", frame, frame, frame, frame, riemann)
         model = SasakianPointModel(
@@ -440,10 +480,10 @@ class TestStencilBatches:
             rows.append(_rows(u))
             return np.sin(u)
 
-        partial_derivatives(field, np.full(4, 0.1), CFG)
+        partial_derivatives(field, np.full(4, 0.1))
         assert rows == [8] * 4
         rows.clear()
-        _two_jet(field, np.full(3, 0.1), CFG)
+        _two_jet(field, np.full(3, 0.1))
         assert rows == [18, 32, 32, 18, 32, 18]
 
     @pytest.mark.parametrize("alpha", [1.0, 0.5])
@@ -457,16 +497,16 @@ class TestStencilBatches:
         )
         metric_fn, j_fn = product_field_functions(fc1, fc2, HermitianParams(-0.7, 1.3))
         for f, u in ((polynomial, point[:3]), (metric_fn, point), (j_fn, point)):
-            assert np.array_equal(_two_jet(f, u, CFG)[0], partial_derivatives(f, u, CFG))
+            assert np.array_equal(_two_jet(f, u)[0], partial_derivatives(f, u))
 
         def axis_fields(i, points):
             moving = fc1.metric_at(points[:, :3]) if i < 3 else fc2.metric_at(points[:, 3:])
             return metric_fn(points), j_fn(points), moving
 
-        _, _, (dj, dfactor) = _two_jet(metric_fn, point, CFG, axis_fields)
-        assert np.array_equal(dj, partial_derivatives(j_fn, point, CFG))
-        assert np.array_equal(dfactor[:3], partial_derivatives(fc1.metric_at, point[:3], CFG))
-        assert np.array_equal(dfactor[3:], partial_derivatives(fc2.metric_at, point[3:], CFG))
+        _, _, (dj, dfactor) = _two_jet(metric_fn, point, axis_fields)
+        assert np.array_equal(dj, partial_derivatives(j_fn, point))
+        assert np.array_equal(dfactor[:3], partial_derivatives(fc1.metric_at, point[:3]))
+        assert np.array_equal(dfactor[3:], partial_derivatives(fc2.metric_at, point[3:]))
 
     def test_factor_field_calls_per_comparison(self, field_calls, rng):
         # N = 6: both factors at the point (2), then one call per factor for
@@ -477,7 +517,7 @@ class TestStencilBatches:
         )
         fc = FactorChart(SphereChart(4))
         point = sample_chart_points(rng, 6, count=1)[0]
-        compare_with_algebraic(fc, fc, HermitianParams(0.5, 1.0), model, point, CFG)
+        compare_with_algebraic(fc, fc, HermitianParams(0.5, 1.0), model, point)
         assert len(field_calls) == 44
         assert max(_rows(u) for u in field_calls) == 32
 
@@ -488,14 +528,14 @@ class TestNijenhuis:
         j[1, 0] = j[3, 2] = 1.0
         j[0, 1] = j[2, 3] = -1.0
         constant = lambda u: np.broadcast_to(j, u.shape[:-1] + (4, 4))
-        result = nijenhuis_fd(constant, np.full(4, 0.1), CFG)
+        result = nijenhuis_fd(constant, np.full(4, 0.1))
         npt.assert_allclose(result, 0.0, atol=1e-10)
 
     def test_product_structure_is_integrable(self, rng):
         fc = FactorChart(SphereChart(4))
         _, j_fn = product_field_functions(fc, fc, HermitianParams(0.5, 1.5))
         for point in sample_chart_points(rng, 6, count=20):
-            assert np.abs(nijenhuis_fd(j_fn, point, CFG)).max() <= 1e-5
+            assert np.abs(nijenhuis_fd(j_fn, point)).max() <= 1e-5
 
     def test_sign_flipped_rotation_stays_integrable(self, rng):
         # flipping the rotation on one factor keeps J^2 = -I and, perhaps
@@ -520,7 +560,7 @@ class TestNijenhuis:
         point = sample_chart_points(rng, 6, count=1)[0]
         j = flipped_j(point)
         npt.assert_allclose(j @ j, -np.eye(6), atol=1e-12)
-        assert np.abs(nijenhuis_fd(flipped_j, point, CFG)).max() <= 1e-5
+        assert np.abs(nijenhuis_fd(flipped_j, point)).max() <= 1e-5
 
     def test_point_dependent_conjugation_is_not_integrable(self, rng):
         # genuine negative control: conjugating by a position-dependent
@@ -540,7 +580,7 @@ class TestNijenhuis:
         point = sample_chart_points(rng, 6, count=1)[0]
         j = conjugated_j(point)
         npt.assert_allclose(j @ j, -np.eye(6), atol=1e-12)
-        assert np.abs(nijenhuis_fd(conjugated_j, point, CFG)).max() > 0.05
+        assert np.abs(nijenhuis_fd(conjugated_j, point)).max() > 0.05
 
 
 class TestCompareWithAlgebraic:
@@ -585,7 +625,7 @@ class TestCompareWithAlgebraic:
             sasakiherm.chart, "require_spd", counted("require_spd", sasakiherm.chart.require_spd)
         )
         monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
-        comparison = compare_with_algebraic(fc1, fc2, params, model, point, CFG)
+        comparison = compare_with_algebraic(fc1, fc2, params, model, point)
         assert calls == {"require_spd": 1, "inv": 1}
         assert comparison.riemann <= 1e-4
 
@@ -601,7 +641,7 @@ class TestCompareWithAlgebraic:
             params,
         )
         point = sample_chart_points(rng, fc1.dim + fc2.dim, count=1)[0]
-        before = dataclasses.asdict(compare_with_algebraic(fc1, fc2, params, model, point, CFG))
+        before = dataclasses.asdict(compare_with_algebraic(fc1, fc2, params, model, point))
 
         def turned(metric, phi, xi):
             # the real form of a unitary u acting on the pairs (v_k, phi v_k)
@@ -613,7 +653,7 @@ class TestCompareWithAlgebraic:
             return adapted_frame(metric, phi, xi) @ rotation
 
         monkeypatch.setattr(sasakiherm.chart, "adapted_frame", turned)
-        after = dataclasses.asdict(compare_with_algebraic(fc1, fc2, params, model, point, CFG))
+        after = dataclasses.asdict(compare_with_algebraic(fc1, fc2, params, model, point))
         assert max(abs(after[key] - before[key]) for key in before) <= 1e-9
 
     def test_riemannian_product_case(self, rng):
@@ -623,7 +663,7 @@ class TestCompareWithAlgebraic:
             make_round_sphere_model(1), make_round_sphere_model(1), params
         )
         point = sample_chart_points(rng, 6, count=1)[0]
-        comparison = compare_with_algebraic(fc, fc, params, model, point, CFG)
+        comparison = compare_with_algebraic(fc, fc, params, model, point)
         assert comparison.riemann <= 1e-4
         assert comparison.ricci <= 1e-4
         assert comparison.ricci_star <= 1e-4
@@ -639,7 +679,7 @@ class TestCompareWithAlgebraic:
             make_round_sphere_model(1), make_round_sphere_model(1), params
         )
         point = sample_chart_points(rng, 6, count=1)[0]
-        comparison = compare_with_algebraic(fc, fc, params, model, point, CFG)
+        comparison = compare_with_algebraic(fc, fc, params, model, point)
         assert comparison.connection <= 1e-5
         assert comparison.riemann <= 1e-4
 
@@ -656,14 +696,14 @@ class TestCompareWithAlgebraic:
             params,
         )
         point = sample_chart_points(rng, 6, count=1)[0]
-        comparison = compare_with_algebraic(fc1, fc2, params, model, point, CFG)
+        comparison = compare_with_algebraic(fc1, fc2, params, model, point)
         assert comparison.riemann <= 1e-4
         assert comparison.ricci <= 1e-4
         assert comparison.connection <= 1e-5
         assert comparison.nabla_j <= 1e-5
         # read off the J_bar stencil taken for nabla J, equal to its own stencil
         _, j_fn = product_field_functions(fc1, fc2, params)
-        assert comparison.nijenhuis == np.abs(nijenhuis_fd(j_fn, point, CFG)).max()
+        assert comparison.nijenhuis == np.abs(nijenhuis_fd(j_fn, point)).max()
         assert comparison.nijenhuis <= 1e-5
 
     def test_einstein_example_with_deformed_factor(self, rng):
@@ -671,12 +711,12 @@ class TestCompareWithAlgebraic:
         fc1 = FactorChart(SphereChart(6))
         fc2 = FactorChart(SphereChart(4), alpha=spec.alpha)
         point = sample_chart_points(rng, 8, count=1)[0]
-        comparison = compare_with_algebraic(fc1, fc2, model.params, model, point, CFG)
+        comparison = compare_with_algebraic(fc1, fc2, model.params, model, point)
         assert comparison.riemann <= 1e-4
         assert comparison.ricci <= 1e-4
         assert comparison.connection <= 1e-5
         assert comparison.nabla_j <= 1e-5
         # the Einstein property seen purely through the stencils
         metric_fn, _ = product_field_functions(fc1, fc2, model.params)
-        ricci = contract_trace(riemann_fd(metric_fn, point, CFG), np.linalg.inv(metric_fn(point)))
+        ricci = contract_trace(riemann_fd(metric_fn, point), np.linalg.inv(metric_fn(point)))
         npt.assert_allclose(ricci, 4.0 * metric_fn(point), atol=1e-4)
